@@ -42,6 +42,11 @@ type EngineRunSummary struct {
 	WallP50 float64 `json:"wall_p50,omitempty"`
 	WallP95 float64 `json:"wall_p95,omitempty"`
 	WallP99 float64 `json:"wall_p99,omitempty"`
+	// InRunsGraph, InRunsScanned and ScanEfficiency are the run's
+	// deterministic kernel work counters (see core.RunReport).
+	InRunsGraph    int64   `json:"in_runs_graph"`
+	InRunsScanned  int64   `json:"in_runs_scanned"`
+	ScanEfficiency float64 `json:"scan_efficiency"`
 }
 
 // JSONReport is the machine-readable counterpart of the rendered
@@ -98,6 +103,9 @@ func (j *JSONReport) Sink() func(*core.RunReport) {
 			WallP50:         r.WindowWallPercentiles.P50,
 			WallP95:         r.WindowWallPercentiles.P95,
 			WallP99:         r.WindowWallPercentiles.P99,
+			InRunsGraph:     r.InRunsGraph,
+			InRunsScanned:   r.InRunsScanned,
+			ScanEfficiency:  r.ScanEfficiency,
 		})
 	}
 }

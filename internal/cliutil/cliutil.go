@@ -20,7 +20,7 @@ import (
 // EngineFlags carries the values of the shared engine flag set after
 // parsing. Field defaults mirror core.DefaultConfig.
 type EngineFlags struct {
-	// Kernel is the kernel name: spmm, spmv, or spmv-blocked.
+	// Kernel is the kernel name: spmm or spmv.
 	Kernel string
 	// Mode is the parallelism mode: nested, app, or window.
 	Mode string
@@ -47,7 +47,7 @@ type EngineFlags struct {
 // struct the parsed values land in.
 func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	ef := &EngineFlags{}
-	fs.StringVar(&ef.Kernel, "kernel", "spmm", "kernel: spmm, spmv or spmv-blocked")
+	fs.StringVar(&ef.Kernel, "kernel", "spmm", "kernel: spmm or spmv")
 	fs.StringVar(&ef.Mode, "mode", "nested", "parallelism: nested, app or window")
 	fs.StringVar(&ef.Partitioner, "partitioner", "auto", "partitioner: auto, simple or static")
 	fs.IntVar(&ef.MW, "mw", 6, "number of multi-window graphs")
@@ -86,19 +86,18 @@ func ParseKernel(s string) core.KernelID {
 	switch s {
 	case "spmv":
 		return core.SpMV
-	case "spmv-blocked":
-		return core.SpMVBlocked
 	default:
 		return core.SpMM
 	}
 }
 
-// ParseMode maps a mode flag value to its id (default nested).
+// ParseMode maps a mode flag value to its id (default nested). The
+// report names ("app-level", "window-level") are accepted too.
 func ParseMode(s string) core.ParallelMode {
 	switch s {
-	case "app":
+	case "app", "app-level":
 		return core.AppLevel
-	case "window":
+	case "window", "window-level":
 		return core.WindowLevel
 	default:
 		return core.Nested

@@ -35,7 +35,7 @@ func TestEngineFlagsApplyTo(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	ef := RegisterEngineFlags(fs)
 	args := []string{
-		"-kernel", "spmv-blocked", "-mode", "window", "-partitioner", "static",
+		"-kernel", "spmv", "-mode", "window", "-partitioner", "static",
 		"-mw", "3", "-veclen", "4", "-grain", "7", "-no-partial", "-directed",
 		"-workers", "2",
 	}
@@ -44,7 +44,7 @@ func TestEngineFlagsApplyTo(t *testing.T) {
 	}
 	cfg := core.DefaultConfig()
 	ef.ApplyTo(&cfg)
-	if cfg.Kernel != core.SpMVBlocked || cfg.Mode != core.WindowLevel || cfg.Partitioner != sched.Static {
+	if cfg.Kernel != core.SpMV || cfg.Mode != core.WindowLevel || cfg.Partitioner != sched.Static {
 		t.Fatalf("enum flags not applied: %+v", cfg)
 	}
 	if cfg.NumMultiWindows != 3 || cfg.VectorLen != 4 || cfg.Grain != 7 {

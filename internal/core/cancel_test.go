@@ -9,6 +9,7 @@ import (
 
 	"pmpr/internal/events"
 	"pmpr/internal/sched"
+	"pmpr/internal/tcsr"
 )
 
 // slowEngine builds an engine whose solve takes long enough (many
@@ -16,7 +17,20 @@ import (
 // mid-solve.
 func slowEngine(t *testing.T, cfg Config, pool *sched.Pool) (*Engine, events.WindowSpec) {
 	t.Helper()
-	l := randomLog(t, 7, 200, 20000, 200000)
+	return slowEngineOn(t, randomLog(t, 7, 200, 20000, 200000), cfg, pool)
+}
+
+// denseSlowEngine is slowEngine over windows about five times denser.
+// On the sparse log the fastest configuration (spmv at window level)
+// finishes in about 20ms, too close to the 10ms the cancel tests wait;
+// here every configuration runs for 100ms or more.
+func denseSlowEngine(t *testing.T, cfg Config, pool *sched.Pool) (*Engine, events.WindowSpec) {
+	t.Helper()
+	return slowEngineOn(t, randomLog(t, 7, 200, 150000, 300000), cfg, pool)
+}
+
+func slowEngineOn(t *testing.T, l *events.Log, cfg Config, pool *sched.Pool) (*Engine, events.WindowSpec) {
+	t.Helper()
 	spec, err := events.Span(l, 10000, 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +47,7 @@ func slowEngine(t *testing.T, cfg Config, pool *sched.Pool) (*Engine, events.Win
 
 func cancelConfigs() map[string]Config {
 	out := map[string]Config{}
-	for _, kern := range []KernelID{SpMV, SpMVBlocked, SpMM} {
+	for _, kern := range []KernelID{SpMV, SpMM} {
 		for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
 			cfg := DefaultConfig()
 			cfg.Kernel = kern
@@ -51,7 +65,7 @@ func TestRunCancelMidSolve(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			pool := sched.NewPool(4)
 			defer pool.Close()
-			eng, spec := slowEngine(t, cfg, pool)
+			eng, spec := denseSlowEngine(t, cfg, pool)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			go func() {
@@ -225,7 +239,7 @@ func TestRunConcurrentCallsRejected(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Kernel = SpMV
 	cfg.Mode = WindowLevel
-	eng, _ := slowEngine(t, cfg, pool)
+	eng, _ := denseSlowEngine(t, cfg, pool)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	started := make(chan struct{})
@@ -268,5 +282,50 @@ func TestCanceledErrorUnwrap(t *testing.T) {
 	bare := &CanceledError{Completed: 0, Total: 5}
 	if !errors.Is(bare, ErrCanceled) {
 		t.Fatal("cause-less CanceledError must still match ErrCanceled")
+	}
+}
+
+// TestCanceledLoopsLeaveBatchUndecided covers the gap between a context
+// being canceled and the run's AfterFunc flag being set: in that gap the
+// scheduler already skips the kernel loops' bodies, so runBatch must
+// not decide a batch whose Init and sweeps never ran.
+func TestCanceledLoopsLeaveBatchUndecided(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	l := randomLog(t, 12, 40, 2000, 8000)
+	spec, err := events.Span(l, 600, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Kernel = SpMV
+	cfg.Mode = AppLevel
+	eng, err := NewEngine(l, spec, cfg, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // canceled, but no AfterFunc has set the run's flag
+	r := &solveRun{ctx: ctx, plan: eng.plan, arena: eng.solve.arena}
+	mw := eng.Temporal().ForWindow(0)
+	var b Batch
+	pool.Run(func(w *sched.Worker) {
+		sb, release := r.arena.acquire(-1)
+		defer release()
+		b = Batch{
+			cfg:      &eng.plan.Cfg,
+			scratch:  sb,
+			loop:     workerLoop(ctx, w, cfg.grain(), cfg.Partitioner),
+			runBound: eng.plan.RunBound,
+			mw:       mw,
+			views:    []tcsr.SolveView{mw.ViewOf(0)},
+			inits:    make([][]float64, 1),
+			results:  make([]WindowResult, 1),
+			isLive:   make([]bool, 1),
+		}
+		r.runBatch(spmvKernel{}, &b)
+	})
+	if !b.truncated {
+		t.Fatalf("batch decided although its loops were skipped: %+v", b.results[0])
 	}
 }

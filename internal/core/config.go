@@ -111,11 +111,6 @@ const (
 	// SpMM advances VectorLen windows of a multi-window graph per sweep
 	// of the shared temporal CSR.
 	SpMM
-	// SpMVBlocked is SpMV with propagation blocking (Beamer et al.,
-	// cited in Sec. 2.2): contributions are pushed into
-	// destination-range bins and drained in a second, cache-friendly
-	// pass instead of pulled with random reads.
-	SpMVBlocked
 )
 
 // String names the kernel as used in reports, CLI flags, and the
@@ -126,8 +121,6 @@ func (k KernelID) String() string {
 		return "spmv"
 	case SpMM:
 		return "spmm"
-	case SpMVBlocked:
-		return "spmv-blocked"
 	default:
 		return fmt.Sprintf("KernelID(%d)", int(k))
 	}
@@ -218,7 +211,7 @@ func (c Config) Check() error {
 	if c.Mode < AppLevel || c.Mode > Nested {
 		return fmt.Errorf("core: unknown parallel mode %d", int(c.Mode))
 	}
-	if c.Kernel != SpMV && c.Kernel != SpMM && c.Kernel != SpMVBlocked {
+	if c.Kernel != SpMV && c.Kernel != SpMM {
 		return fmt.Errorf("core: unknown kernel %d", int(c.Kernel))
 	}
 	if c.Kernel == SpMM && c.VectorLen < 1 {

@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
-
 	"fmt"
+	"math"
 	"testing"
 
 	"pmpr/internal/events"
@@ -50,7 +50,7 @@ func TestScratchRewriteMatchesSerial(t *testing.T) {
 	pool := sched.NewPool(4)
 	defer pool.Close()
 
-	for _, kernel := range []KernelID{SpMV, SpMVBlocked, SpMM} {
+	for _, kernel := range []KernelID{SpMV, SpMM} {
 		for _, partial := range []bool{false, true} {
 			cfg := equivCfg(kernel, AppLevel, partial)
 			serialEng, err := NewEngine(l, spec, cfg, nil)
@@ -100,7 +100,7 @@ func TestScratchRewriteMatchesSerial(t *testing.T) {
 func TestSerialRunTwiceBitIdentical(t *testing.T) {
 	l := randomLog(t, 78, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
-	for _, kernel := range []KernelID{SpMV, SpMVBlocked, SpMM} {
+	for _, kernel := range []KernelID{SpMV, SpMM} {
 		eng, err := NewEngine(l, spec, equivCfg(kernel, AppLevel, true), nil)
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
@@ -140,7 +140,7 @@ func TestDiscardRanksSteadyStateHasZeroMisses(t *testing.T) {
 	}
 	l := randomLog(t, 79, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 7}
-	for _, kernel := range []KernelID{SpMV, SpMVBlocked, SpMM} {
+	for _, kernel := range []KernelID{SpMV, SpMM} {
 		cfg := equivCfg(kernel, AppLevel, true)
 		cfg.DiscardRanks = true
 		eng, err := NewEngine(l, spec, cfg, nil)
@@ -178,7 +178,7 @@ func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 	}
 	l := randomLog(t, 80, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
-	for _, kernel := range []KernelID{SpMV, SpMVBlocked, SpMM} {
+	for _, kernel := range []KernelID{SpMV, SpMM} {
 		measure := func(maxIter int) float64 {
 			cfg := equivCfg(kernel, AppLevel, true)
 			cfg.DiscardRanks = true
@@ -204,4 +204,110 @@ func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 				kernel, long-short, short, long)
 		}
 	}
+}
+
+// TestVecLen70MatchesVecLen8 runs SpMM with batches wider than one
+// 64-bit window mask and compares the series with the default width
+// within the tolerance of TestScratchRewriteMatchesSerial.
+func TestVecLen70MatchesVecLen8(t *testing.T) {
+	l := randomLog(t, 81, 40, 4000, 24000)
+	spec, err := events.Span(l, 600, 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Count <= 70 {
+		t.Fatalf("fixture has %d windows, want more than 70 so a batch fills 70 slots", spec.Count)
+	}
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	run := func(veclen int) [][]float64 {
+		cfg := equivCfg(SpMM, Nested, true)
+		cfg.NumMultiWindows = 1
+		cfg.VectorLen = veclen
+		eng, err := NewEngine(l, spec, cfg, pool)
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		s, err := eng.Run(context.Background())
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return denseSeries(t, s, fmt.Sprintf("veclen=%d", veclen))
+	}
+	want, got := run(8), run(70)
+	for w := range want {
+		for v := range want[w] {
+			if d := math.Abs(got[w][v] - want[w][v]); d > 1e-12 {
+				t.Fatalf("window %d vertex %d: veclen 70 %v, veclen 8 %v (|diff|=%v)",
+					w, v, got[w][v], want[w][v], d)
+			}
+		}
+	}
+}
+
+// TestKernelWorkCounters checks the report's in-run counters: they
+// match the per-graph sweep counts, a single-window sweep walks exactly
+// the window's active edges, and the counters are the same across
+// repeated runs and, for SpMM, between a one-worker run and a
+// window-level run.
+func TestKernelWorkCounters(t *testing.T) {
+	l := randomLog(t, 82, 40, 3000, 12000)
+	spec, err := events.Span(l, 600, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := sched.NewPool(1)
+	defer one.Close()
+	two := sched.NewPool(2)
+	defer two.Close()
+	run := func(kernel KernelID, mode ParallelMode, pool *sched.Pool) *Series {
+		cfg := DefaultConfig()
+		cfg.Kernel = kernel
+		cfg.Mode = mode
+		cfg.Directed = true
+		eng, err := NewEngine(l, spec, cfg, pool)
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		s, err := eng.Run(context.Background())
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		rep := s.Report
+		var graph int64
+		for i, mw := range eng.Temporal().MWs {
+			graph += mw.NumInRuns() * rep.MWSweeps[i]
+		}
+		if rep.InRunsGraph != graph {
+			t.Fatalf("%v/%v: in_runs_graph %d, want in-runs x sweeps = %d", kernel, mode, rep.InRunsGraph, graph)
+		}
+		if rep.InRunsScanned <= 0 || rep.InRunsScanned > rep.InRunsGraph {
+			t.Fatalf("%v/%v: in_runs_scanned %d outside (0, %d]", kernel, mode, rep.InRunsScanned, rep.InRunsGraph)
+		}
+		if want := float64(rep.InRunsScanned) / float64(rep.InRunsGraph); rep.ScanEfficiency != want {
+			t.Fatalf("%v/%v: scan_efficiency %v, want %v", kernel, mode, rep.ScanEfficiency, want)
+		}
+		if kernel == SpMV {
+			var scanned int64
+			for w := 0; w < spec.Count; w++ {
+				scanned += eng.Temporal().ForWindow(w).ActiveEdges(w) * int64(s.Window(w).Iterations)
+			}
+			if rep.InRunsScanned != scanned {
+				t.Fatalf("spmv in_runs_scanned %d, want active edges x iterations = %d", rep.InRunsScanned, scanned)
+			}
+		}
+		return s
+	}
+	same := func(label string, a, b *Series) {
+		ra, rb := a.Report, b.Report
+		if ra.InRunsGraph != rb.InRunsGraph || ra.InRunsScanned != rb.InRunsScanned {
+			t.Fatalf("%s: counters (%d, %d) vs (%d, %d)", label,
+				ra.InRunsGraph, ra.InRunsScanned, rb.InRunsGraph, rb.InRunsScanned)
+		}
+	}
+	spmm := run(SpMM, Nested, one)
+	same("spmm rerun", spmm, run(SpMM, Nested, one))
+	same("spmm one worker vs window-level", spmm, run(SpMM, WindowLevel, two))
+	spmv := run(SpMV, Nested, one)
+	same("spmv rerun", spmv, run(SpMV, Nested, one))
 }

@@ -165,15 +165,16 @@ func (r *solveRun) degradeBatch(b *Batch, priorAttempts int, panicked bool) {
 	live := make([]int, 0, 1)
 	for s := range b.views {
 		db := Batch{
-			cfg:     b.cfg,
-			scratch: b.scratch,
-			loop:    serialLoop,
-			mw:      b.mw,
-			views:   b.views[s : s+1],
-			inits:   b.inits[s : s+1],
-			results: b.results[s : s+1],
-			isLive:  b.isLive[s : s+1],
-			live:    live[:0],
+			cfg:      b.cfg,
+			scratch:  b.scratch,
+			loop:     serialLoop,
+			runBound: b.runBound,
+			mw:       b.mw,
+			views:    b.views[s : s+1],
+			inits:    b.inits[s : s+1],
+			results:  b.results[s : s+1],
+			isLive:   b.isLive[s : s+1],
+			live:     live[:0],
 		}
 		db.isLive[0] = false
 		res := &b.results[s]

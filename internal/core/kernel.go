@@ -7,7 +7,7 @@ import (
 )
 
 // Kernel is the pluggable iteration engine of the solve stage. The
-// three implementations (spmv, spmv-blocked, spmm) register themselves
+// two implementations (spmv, spmm) register themselves
 // at init time and the plan stage resolves one by Config.Kernel, so
 // the solve drivers contain no kernel-specific branches — the window
 // loop, warm-start chaining, tracing, validation, and convergence
@@ -69,6 +69,11 @@ type Batch struct {
 	// must not consume, count, or checkpoint its results (the run is
 	// returning a *CanceledError and a resume re-solves them).
 	truncated bool
+
+	// runBound is SolvePlan.RunBound (see buildActiveRuns); Init sets
+	// keptRuns to the runs each sweep walks, for the work counters.
+	runBound int
+	keptRuns int64
 
 	// state is the kernel's per-batch working set (vectors, bound loop
 	// bodies); one boxed allocation per batch, amortized over its

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"pmpr/internal/sched"
 	"pmpr/internal/tcsr"
@@ -29,6 +30,9 @@ func init() { RegisterKernel(spmmKernel{}) }
 // for free.
 type spmmState struct {
 	tsK, teK     []int64
+	runs         activeRuns
+	verts        []int32
+	liveMask     []uint64
 	invdeg       []float64
 	active       []bool
 	na           []int32
@@ -47,9 +51,10 @@ func (spmmKernel) Name() string { return "spmm" }
 // the shared temporal CSR advances.
 func (spmmKernel) BatchWidth(cfg *Config) int { return cfg.VectorLen }
 
-// Init stages the interleaved window states and starting vectors (Eq. 4
-// per slot where a predecessor vector is supplied, uniform otherwise),
-// binds the two sweep passes, and marks non-empty slots live.
+// Init builds the batch's compact in-CSR, stages the interleaved window
+// states and starting vectors (Eq. 4 per slot where a predecessor
+// vector is supplied, uniform otherwise), binds the two sweep passes,
+// and marks non-empty slots live.
 func (spmmKernel) Init(b *Batch) {
 	mw := b.mw
 	n := int(mw.NumLocal())
@@ -67,74 +72,70 @@ func (spmmKernel) Init(b *Batch) {
 	}
 	s.tsK, s.teK = tsK, teK
 
-	// Per-window inverse out-degrees, interleaved. First accumulate
-	// counts, then invert in place.
-	invdeg := sb.getF64(n * K)
-	loop(n, func(_ *sched.Worker, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			start, end := mw.OutRow[u], mw.OutRow[u+1]
-			i := start
-			for i < end {
-				j := i + 1
-				c := mw.OutCol[i]
-				for j < end && mw.OutCol[j] == c {
-					j++
-				}
-				times := mw.OutTime[i:j]
-				for k := 0; k < K; k++ {
-					if tcsr.RunActive(times, tsK[k], teK[k]) {
-						invdeg[u*K+k]++
-					}
-				}
-				i = j
-			}
-			for k := 0; k < K; k++ {
-				if d := invdeg[u*K+k]; d > 0 {
-					invdeg[u*K+k] = 1 / d
-				}
-			}
-		}
-	})
-	s.invdeg = invdeg
+	// The batch's compact in-CSR: every in-run active in at least one
+	// slot, with its window mask. Pass 2 walks only these runs.
+	runs := buildActiveRuns(mw, tsK, teK, true, b.runBound, loop, sb)
+	s.runs = runs
+	b.keptRuns = int64(len(runs.col))
+	words := runs.words
+	row, col, mask := runs.row, runs.col, runs.mask
 
-	// Activity flags and |V_i| per window; counts reduce via lanes.
+	// Per-window inverse out-degrees and activity flags, interleaved,
+	// with |V_i| per window reduced via lanes. A vertex is active in
+	// slot k when it has an in- or an out-edge there. Bit k of a run in
+	// its compact row is an in-edge; in an undirected build, whose
+	// out-runs are its in-runs, it is also an out-edge, so the row
+	// gives the out-degree counts too. A directed build counts them on
+	// its out-CSR. Counts are inverted in place.
+	invdeg := sb.getF64(n * K)
 	active := sb.getBool(n * K)
 	laneCnt := sb.getI32(lanes * K)
-	directed := b.cfg.Directed
+	undirected := mw.OutColAliased()
 	loop(n, func(wk *sched.Worker, lo, hi int) {
 		cnt := laneCnt[laneOf(wk)*K:][:K]
 		for v := lo; v < hi; v++ {
-			pending := 0
-			for k := 0; k < K; k++ {
-				if invdeg[v*K+k] > 0 {
-					active[v*K+k] = true
-					cnt[k]++
-				} else if directed {
-					pending++
+			deg := invdeg[v*K:][:K]
+			act := active[v*K:][:K]
+			for i := row[v]; i < row[v+1]; i++ {
+				for w, m := range mask[i*int64(words):][:words] {
+					for ; m != 0; m &= m - 1 {
+						k := w<<6 + bits.TrailingZeros64(m)
+						act[k] = true
+						if undirected {
+							deg[k]++
+						}
+					}
 				}
 			}
-			if pending > 0 {
-				start, end := mw.InRow[v], mw.InRow[v+1]
-				i := start
-				for i < end && pending > 0 {
+			if !undirected {
+				i, end := mw.OutRow[v], mw.OutRow[v+1]
+				for i < end {
 					j := i + 1
-					c := mw.InCol[i]
-					for j < end && mw.InCol[j] == c {
+					c := mw.OutCol[i]
+					for j < end && mw.OutCol[j] == c {
 						j++
 					}
-					times := mw.InTime[i:j]
-					for k := 0; k < K; k++ {
-						if !active[v*K+k] && tcsr.RunActive(times, tsK[k], teK[k]) {
-							active[v*K+k] = true
-							cnt[k]++
-							pending--
+					times := mw.OutTime[i:j]
+					for k := range deg {
+						if tcsr.RunActive(times, tsK[k], teK[k]) {
+							deg[k]++
 						}
 					}
 					i = j
 				}
 			}
+			for k, d := range deg {
+				if d > 0 {
+					deg[k] = 1 / d
+					act[k] = true
+				}
+				if act[k] {
+					cnt[k]++
+				}
+			}
 		}
 	})
+	s.invdeg = invdeg
 	s.active = active
 	na := sb.getI32(K)
 	for k := 0; k < K; k++ {
@@ -150,6 +151,22 @@ func (spmmKernel) Init(b *Batch) {
 	}
 	sb.putI32(laneCnt)
 	s.na = na
+
+	// The batch's vertices: those active in at least one slot. Every
+	// other vertex holds rank 0 in every slot throughout, so the sweeps
+	// skip it.
+	verts := sb.getI32(n)
+	nv := 0
+	for v := 0; v < n; v++ {
+		for _, a := range active[v*K:][:K] {
+			if a {
+				verts[nv] = int32(v)
+				nv++
+				break
+			}
+		}
+	}
+	s.verts = verts[:nv]
 
 	// Initialization: Eq. 4 per window slot where a predecessor vector
 	// is supplied, uniform otherwise.
@@ -222,7 +239,8 @@ func (spmmKernel) Init(b *Batch) {
 		xv := s.x
 		live := b.live
 		d := laneDangling[laneOf(wk)*K:][:K]
-		for u := lo; u < hi; u++ {
+		for _, u32 := range verts[lo:hi] {
+			u := int(u32)
 			for _, k := range live {
 				z[u*K+k] = xv[u*K+k] * invdeg[u*K+k]
 				if active[u*K+k] && invdeg[u*K+k] == 0 {
@@ -231,33 +249,29 @@ func (spmmKernel) Init(b *Batch) {
 			}
 		}
 	}
-	// Pass 2 (by target): one sweep of the shared CSR advances all
-	// live windows.
+	// Pass 2 (by target): one sweep of the compact CSR advances all
+	// live windows; a run adds to the slots of its mask that are live.
+	liveMask := sb.getU64(words)
+	s.liveMask = liveMask
 	s.pass2 = func(wk *sched.Worker, lo, hi int) {
 		xv, yv := s.x, s.y
 		live := b.live
 		lane := laneOf(wk)
 		acc := laneAcc[lane*K:][:K]
 		dl := laneDelta[lane*K:][:K]
-		for v := lo; v < hi; v++ {
+		for _, v32 := range verts[lo:hi] {
+			v := int(v32)
 			for _, k := range live {
 				acc[k] = 0
 			}
-			start, end := mw.InRow[v], mw.InRow[v+1]
-			i := start
-			for i < end {
-				j := i + 1
-				c := mw.InCol[i]
-				for j < end && mw.InCol[j] == c {
-					j++
-				}
-				times := mw.InTime[i:j]
-				for _, k := range live {
-					if tcsr.RunActive(times, tsK[k], teK[k]) {
-						acc[k] += z[int(c)*K+k]
+			for i := row[v]; i < row[v+1]; i++ {
+				zc := z[int(col[i])*K:][:K]
+				for w, m := range mask[i*int64(words):][:words] {
+					for m &= liveMask[w]; m != 0; m &= m - 1 {
+						k := w<<6 + bits.TrailingZeros64(m)
+						acc[k] += zc[k]
 					}
 				}
-				i = j
 			}
 			for k := 0; k < K; k++ {
 				if !isLive[k] {
@@ -287,11 +301,15 @@ func (spmmKernel) Init(b *Batch) {
 func (spmmKernel) Iterate(b *Batch) {
 	s := b.state.(*spmmState)
 	K := b.width()
-	n := int(b.mw.NumLocal())
+	n := len(s.verts)
 	lanes := b.scratch.lanes()
 	alpha := b.cfg.Opts.Alpha
 	clear(s.laneDangling)
 	clear(s.laneDelta)
+	clear(s.liveMask)
+	for _, k := range b.live {
+		s.liveMask[k>>6] |= 1 << (k & 63)
+	}
 	b.loop(n, s.pass1)
 	for _, k := range b.live {
 		var d float64
@@ -336,6 +354,9 @@ func (spmmKernel) Finalize(b *Batch) {
 	sb.putF64(s.z)
 	sb.putF64(s.invdeg)
 	sb.putBool(s.active)
+	s.runs.release(sb)
+	sb.putI32(s.verts)
+	sb.putU64(s.liveMask)
 	sb.putI64(s.tsK)
 	sb.putI64(s.teK)
 	sb.putI32(s.na)

@@ -7,106 +7,17 @@ import (
 	"pmpr/internal/tcsr"
 )
 
-// windowState holds the per-window quantities a PageRank iteration
-// needs: inverse out-degrees (0 for dangling or absent vertices),
-// activity flags, and |V_i|. The slices are scratch-arena buffers;
-// release them with releaseWindowState when the solve is done.
-type windowState struct {
-	invdeg []float64
-	active []bool
-	na     int32
-}
-
-// computeWindowState fills the state for the window of view with
-// buffers drawn from sb. The degree pass runs over the out-CSR
-// partitioned by source vertex; the activity pass runs over the in-CSR
-// partitioned by target vertex, so both are race-free under loop.
-// Cross-leaf counting reduces through per-lane slots instead of an
-// atomic, keeping the leaves allocation- and contention-free.
-func computeWindowState(view tcsr.SolveView, directed bool, loop forLoop, sb *scratchBuf) windowState {
-	mw := view.MW
-	n := int(mw.NumLocal())
-	ts, te := view.Ts, view.Te
-	st := windowState{
-		invdeg: sb.getF64(n),
-		active: sb.getBool(n),
-	}
-	loop(n, func(_ *sched.Worker, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			start, end := mw.OutRow[u], mw.OutRow[u+1]
-			deg := 0
-			i := start
-			for i < end {
-				j := i + 1
-				for j < end && mw.OutCol[j] == mw.OutCol[i] {
-					j++
-				}
-				if tcsr.RunActive(mw.OutTime[i:j], ts, te) {
-					deg++
-				}
-				i = j
-			}
-			if deg > 0 {
-				st.invdeg[u] = 1 / float64(deg)
-			}
-		}
-	})
-	laneNA := sb.getI32(sb.lanes())
-	loop(n, func(wk *sched.Worker, lo, hi int) {
-		var cnt int32
-		for v := lo; v < hi; v++ {
-			act := st.invdeg[v] > 0
-			if !act && directed {
-				// A vertex with only in-edges is active too; scan its
-				// in-runs for one live edge.
-				start, end := mw.InRow[v], mw.InRow[v+1]
-				i := start
-				for i < end && !act {
-					j := i + 1
-					for j < end && mw.InCol[j] == mw.InCol[i] {
-						j++
-					}
-					act = tcsr.RunActive(mw.InTime[i:j], ts, te)
-					i = j
-				}
-			}
-			st.active[v] = act
-			if act {
-				cnt++
-			}
-		}
-		laneNA[laneOf(wk)] += cnt
-	})
-	for _, c := range laneNA {
-		st.na += c
-	}
-	sb.putI32(laneNA)
-	return st
-}
-
-// releaseWindowState returns the state's buffers to the arena.
-func releaseWindowState(sb *scratchBuf, st windowState) {
-	sb.putF64(st.invdeg)
-	sb.putBool(st.active)
-}
-
-// initVector fills x with the starting PageRank values: the partial
-// initialization of Eq. 4 when prev is available, otherwise the uniform
-// 1/|V_i| over active vertices. It reports whether partial
-// initialization was actually used (it falls back to uniform when the
-// windows share no active vertices).
-func initVector(x, prev []float64, st windowState, loop forLoop, sb *scratchBuf) bool {
+// initVector fills x with the starting PageRank values of a window
+// with na > 0 active vertices: the partial initialization of Eq. 4 when
+// prev is available, otherwise the uniform 1/|V_i| over active
+// vertices. It reports whether partial initialization was actually used
+// (it falls back to uniform when the windows share no active vertices).
+func initVector(x, prev []float64, active []bool, na int32, loop forLoop, sb *scratchBuf) bool {
 	n := len(x)
-	if st.na == 0 {
-		for v := range x {
-			x[v] = 0
-		}
-		return false
-	}
-	uniform := 1 / float64(st.na)
+	uniform := 1 / float64(na)
 	fillUniform := func(_ *sched.Worker, lo, hi int) {
 		for v := lo; v < hi; v++ {
-			if st.active[v] {
+			if active[v] {
 				x[v] = uniform
 			} else {
 				x[v] = 0
@@ -127,7 +38,7 @@ func initVector(x, prev []float64, st windowState, loop forLoop, sb *scratchBuf)
 		var cnt int64
 		var sum float64
 		for v := lo; v < hi; v++ {
-			if st.active[v] && prev[v] > 0 {
+			if active[v] && prev[v] > 0 {
 				cnt++
 				sum += prev[v]
 			}
@@ -148,11 +59,11 @@ func initVector(x, prev []float64, st windowState, loop forLoop, sb *scratchBuf)
 		loop(n, fillUniform)
 		return false
 	}
-	scale := float64(shared) / float64(st.na) / sum
+	scale := float64(shared) / float64(na) / sum
 	loop(n, func(_ *sched.Worker, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			switch {
-			case !st.active[v]:
+			case !active[v]:
 				x[v] = 0
 			case prev[v] > 0:
 				x[v] = prev[v] * scale
@@ -179,7 +90,9 @@ func init() { RegisterKernel(spmvKernel{}) }
 // (not in closure variables) so the swap at the end of each iteration
 // retargets the passes through the state pointer for free.
 type spmvState struct {
-	st           windowState
+	runs         activeRuns // the window's active in-runs
+	invdeg       []float64  // 0 for dangling or absent vertices
+	active       []bool
 	x, y, z      []float64
 	laneDangling []float64
 	laneDelta    []float64
@@ -195,37 +108,82 @@ func (spmvKernel) Name() string { return "spmv" }
 // BatchWidth is 1: SpMV advances one window at a time.
 func (spmvKernel) BatchWidth(*Config) int { return 1 }
 
-// Init computes the window state, draws the iteration vectors, and
-// binds the two passes.
+// Init builds the window's compact in-CSR, its inverse out-degrees and
+// activity flags, draws the iteration vectors, and binds the two
+// passes. A vertex is active with an out-edge or a kept in-run. An
+// undirected build reads its out-degrees off the compact in-CSR (the
+// two sides alias); a directed build counts them on the out-CSR.
 func (spmvKernel) Init(b *Batch) {
 	view := b.views[0]
 	mw := view.MW
 	n := int(mw.NumLocal())
+	ts, te := view.Ts, view.Te
 	sb, loop := b.scratch, b.loop
-	st := computeWindowState(view, b.cfg.Directed, loop, sb)
-	res := &b.results[0]
-	res.ActiveVertices = st.na
-	s := &spmvState{st: st}
+	s := &spmvState{}
 	b.state = s
+	tsK, teK := sb.getI64(1), sb.getI64(1)
+	tsK[0], teK[0] = ts, te
+	s.runs = buildActiveRuns(mw, tsK, teK, false, b.runBound, loop, sb)
+	sb.putI64(tsK)
+	sb.putI64(teK)
+	b.keptRuns = int64(len(s.runs.col))
+	invdeg, active := sb.getF64(n), sb.getBool(n)
+	s.invdeg, s.active = invdeg, active
+	row, col := s.runs.row, s.runs.col
+	undirected := mw.OutColAliased()
+	laneNA := sb.getI32(sb.lanes())
+	loop(n, func(wk *sched.Worker, lo, hi int) {
+		var cnt int32
+		for v := lo; v < hi; v++ {
+			in := row[v+1] - row[v]
+			deg := in
+			if !undirected {
+				deg = 0
+				i, end := mw.OutRow[v], mw.OutRow[v+1]
+				for i < end {
+					j := i + 1
+					for j < end && mw.OutCol[j] == mw.OutCol[i] {
+						j++
+					}
+					if tcsr.RunActive(mw.OutTime[i:j], ts, te) {
+						deg++
+					}
+					i = j
+				}
+			}
+			if deg > 0 {
+				invdeg[v] = 1 / float64(deg)
+			}
+			if deg > 0 || in > 0 {
+				active[v] = true
+				cnt++
+			}
+		}
+		laneNA[laneOf(wk)] += cnt
+	})
+	var na int32
+	for _, c := range laneNA {
+		na += c
+	}
+	sb.putI32(laneNA)
+	res := &b.results[0]
+	res.ActiveVertices = na
 	s.x = sb.getF64(n)
-	if st.na == 0 {
+	if na == 0 {
 		res.Converged = true
 		s.empty = true
 		return
 	}
-	res.UsedPartialInit = initVector(s.x, b.inits[0], st, loop, sb)
+	res.UsedPartialInit = initVector(s.x, b.inits[0], active, na, loop, sb)
 
 	s.y = sb.getF64(n)
 	s.z = sb.getF64(n)
 	lanes := sb.lanes()
 	s.laneDangling = sb.getF64(lanes)
 	s.laneDelta = sb.getF64(lanes)
-	s.invNA = 1 / float64(st.na)
+	s.invNA = 1 / float64(na)
 
-	ts, te := view.Ts, view.Te
 	opt := b.cfg.Opts
-	invdeg, active := st.invdeg, st.active
-	inRow, inCol, inTime := mw.InRow, mw.InCol, mw.InTime
 	laneDangling, laneDelta := s.laneDangling, s.laneDelta
 
 	// Pass 1 (by source): scale ranks by inverse out-degree and collect
@@ -241,7 +199,7 @@ func (spmvKernel) Init(b *Batch) {
 		}
 		laneDangling[laneOf(wk)] += d
 	}
-	// Pass 2 (by target): pull contributions along active runs.
+	// Pass 2 (by target): pull contributions along the kept runs.
 	s.pass2 = func(wk *sched.Worker, lo, hi int) {
 		x, y, z := s.x, s.y, s.z
 		base := s.base
@@ -252,17 +210,8 @@ func (spmvKernel) Init(b *Batch) {
 				continue
 			}
 			var acc float64
-			i, end := inRow[v], inRow[v+1]
-			for i < end {
-				j := i + 1
-				c := inCol[i]
-				for j < end && inCol[j] == c {
-					j++
-				}
-				if tcsr.RunActive(inTime[i:j], ts, te) {
-					acc += z[c]
-				}
-				i = j
+			for _, c := range col[row[v]:row[v+1]] {
+				acc += z[c]
 			}
 			nv := base + (1-opt.Alpha)*acc
 			delta += math.Abs(nv - x[v])
@@ -311,7 +260,9 @@ func (spmvKernel) Finalize(b *Batch) {
 		sb.putF64(s.laneDangling)
 		sb.putF64(s.laneDelta)
 	}
-	releaseWindowState(sb, s.st)
+	s.runs.release(sb)
+	sb.putF64(s.invdeg)
+	sb.putBool(s.active)
 	b.results[0].ranks = s.x
 	b.state = nil
 }

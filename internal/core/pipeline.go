@@ -151,6 +151,9 @@ type SolvePlan struct {
 	Units []SolveUnit
 	// Windows is the total window count.
 	Windows int
+	// RunBound is the largest in-run count of any multi-window graph,
+	// the size every batch draws its compact-CSR run buffers at.
+	RunBound int
 	// Workers is the pool size the plan assumed (0 = serial).
 	Workers int
 	// Seconds is the planning wall time (reported as phase "plan").
@@ -190,6 +193,11 @@ func (PlanStage) Run(in PlanInput) (plan *SolvePlan, err error) {
 		Width:    width,
 		Windows:  in.Temporal.Spec.Count,
 		Workers:  in.Workers,
+	}
+	for _, mw := range in.Temporal.MWs {
+		if r := int(mw.NumInRuns()); r > p.RunBound {
+			p.RunBound = r
+		}
 	}
 	if width > 1 {
 		p.Units = make([]SolveUnit, len(in.Temporal.MWs))
@@ -264,6 +272,12 @@ func (PublishStage) Run(in PublishInput) (series *Series, err error) {
 		Windows:     len(results),
 		MWSweeps:    mwSweeps,
 		WallSeconds: in.Solve.Seconds,
+
+		InRunsGraph:   in.Solve.InRunsGraph,
+		InRunsScanned: in.Solve.InRunsScanned,
+	}
+	if rep.InRunsGraph > 0 {
+		rep.ScanEfficiency = float64(rep.InRunsScanned) / float64(rep.InRunsGraph)
 	}
 	rep.SetPhase("tcsr_build", in.BuildSeconds)
 	rep.SetPhase("plan", plan.Seconds)

@@ -107,6 +107,14 @@ type RunReport struct {
 	TotalSweeps int64         `json:"total_sweeps"`
 	Residuals   ResidualStats `json:"residuals"`
 
+	// Kernel work counters, deterministic for a log and config:
+	// InRunsGraph is the swept graphs' in-runs × sweeps (what testing
+	// every run on every sweep costs), InRunsScanned the compact
+	// in-runs × sweeps the kernels walked, ScanEfficiency their ratio.
+	InRunsGraph    int64   `json:"in_runs_graph"`
+	InRunsScanned  int64   `json:"in_runs_scanned"`
+	ScanEfficiency float64 `json:"scan_efficiency"`
+
 	// WindowWallSeconds[w] is window w's solve wall time; for the SpMM
 	// kernel every window of a batch reports the batch's wall time.
 	WindowWallSeconds []float64 `json:"window_wall_seconds"`

@@ -27,12 +27,13 @@ import (
 //
 // Ownership: a scratchBuf is confined to the goroutine of the
 // window-loop worker that acquired it (buffers are keyed by
-// sched.Worker ID), so its free lists need no locking — including
-// under re-entrancy, when a worker helping a nested loop steals
-// another window-range span and starts a second solve on the same
-// scratchBuf: the inner solve simply pops further buffers while the
-// outer solve's remain checked out. Serial and app-level callers have
-// no worker identity and draw a scratchBuf from a sync.Pool instead.
+// sched.Worker ID), so its free lists need no locking. A worker runs
+// one solve at a time: when a worker helping a nested loop steals
+// another span of the window loop, the nested driver queues it on the
+// scratchBuf (deferred) and runs it after the solve in progress, so
+// the buffer demand per worker does not depend on the steal pattern.
+// Serial and app-level callers have no worker identity and draw a
+// scratchBuf from a sync.Pool instead.
 
 // scratchArena owns one scratchBuf per pool worker plus a pooled path
 // for loops running outside the pool. An Engine creates one arena and
@@ -96,6 +97,45 @@ func (a *scratchArena) acquire(wid int) (*scratchBuf, func()) {
 	return sb, func() { a.pooled.Put(sb) }
 }
 
+// level raises every worker's free lists to their envelope: for each
+// type and capacity, as many buffers as the worker holding the most.
+// SolveStage.Run calls it after a DiscardRanks run that missed. A
+// complete such run returns every buffer, so each worker then holds
+// what any worker needed, and the next run misses nothing whichever
+// worker solves what. Runs that keep their ranks miss once per window
+// anyway.
+func (a *scratchArena) level() {
+	w := a.perWorker
+	levelLists(w, func(b *scratchBuf) *freeList[float64] { return &b.f64 })
+	levelLists(w, func(b *scratchBuf) *freeList[int64] { return &b.i64 })
+	levelLists(w, func(b *scratchBuf) *freeList[uint64] { return &b.u64 })
+	levelLists(w, func(b *scratchBuf) *freeList[int32] { return &b.i32 })
+	levelLists(w, func(b *scratchBuf) *freeList[int] { return &b.ints })
+	levelLists(w, func(b *scratchBuf) *freeList[bool] { return &b.bools })
+	levelLists(w, func(b *scratchBuf) *freeList[[]float64] { return &b.vecs })
+	levelLists(w, func(b *scratchBuf) *freeList[WindowResult] { return &b.results })
+	levelLists(w, func(b *scratchBuf) *freeList[tcsr.SolveView] { return &b.views })
+}
+
+// levelLists levels one free list across bufs (see scratchArena.level).
+func levelLists[T any](bufs []scratchBuf, list func(*scratchBuf) *freeList[T]) {
+	env := map[int]int{}
+	for i := range bufs {
+		for c, k := range list(&bufs[i]).capCounts() {
+			env[c] = max(env[c], k)
+		}
+	}
+	for i := range bufs {
+		l := list(&bufs[i])
+		have := l.capCounts()
+		for c, k := range env {
+			for ; have[c] < k; have[c]++ {
+				l.free = append(l.free, make([]T, c))
+			}
+		}
+	}
+}
+
 // laneOf maps the worker executing a leaf to its reduction lane; nil
 // (a serial loop) is lane 0.
 func laneOf(w *sched.Worker) int {
@@ -108,8 +148,8 @@ func laneOf(w *sched.Worker) int {
 // freeList holds reusable slices of one element type. get returns a
 // zeroed slice of length n using best fit — the smallest sufficient
 // capacity, most recently returned among equals — so a small request
-// never consumes a large buffer that a later request (e.g. the blocked
-// kernel's edge-sized bins) needs; under a repeated request sequence
+// never consumes a large buffer that a later request (e.g. a batch's
+// run-sized compact CSR) needs; under a repeated request sequence
 // the steady state then has zero misses. put makes a slice available
 // for reuse. Not safe for concurrent use — each scratchBuf is
 // goroutine-confined (see the file comment).
@@ -144,6 +184,15 @@ func (l *freeList[T]) get(a *scratchArena, n int) []T {
 	return make([]T, n)
 }
 
+// capCounts counts the free buffers by capacity.
+func (l *freeList[T]) capCounts() map[int]int {
+	m := make(map[int]int, len(l.free))
+	for _, s := range l.free {
+		m[cap(s)]++
+	}
+	return m
+}
+
 func (l *freeList[T]) put(s []T) {
 	if cap(s) == 0 {
 		return
@@ -157,12 +206,18 @@ func (l *freeList[T]) put(s []T) {
 type scratchBuf struct {
 	arena *scratchArena
 
+	// solving and deferred implement one-solve-at-a-time for the
+	// nested driver (solveRun.ownedRange): window-loop spans the worker
+	// stole while inside a solve, run once that solve returns.
+	solving  bool
+	deferred [][2]int
+
 	f64     freeList[float64]
 	i64     freeList[int64]
+	u64     freeList[uint64]
 	i32     freeList[int32]
 	ints    freeList[int]
 	bools   freeList[bool]
-	a64     freeList[atomic.Int64]
 	vecs    freeList[[]float64]
 	results freeList[WindowResult]
 	views   freeList[tcsr.SolveView]
@@ -177,6 +232,9 @@ func (b *scratchBuf) putF64(s []float64)     { b.f64.put(s) }
 func (b *scratchBuf) getI64(n int) []int64 { return b.i64.get(b.arena, n) }
 func (b *scratchBuf) putI64(s []int64)     { b.i64.put(s) }
 
+func (b *scratchBuf) getU64(n int) []uint64 { return b.u64.get(b.arena, n) }
+func (b *scratchBuf) putU64(s []uint64)     { b.u64.put(s) }
+
 func (b *scratchBuf) getI32(n int) []int32 { return b.i32.get(b.arena, n) }
 func (b *scratchBuf) putI32(s []int32)     { b.i32.put(s) }
 
@@ -185,9 +243,6 @@ func (b *scratchBuf) putInt(s []int)     { b.ints.put(s) }
 
 func (b *scratchBuf) getBool(n int) []bool { return b.bools.get(b.arena, n) }
 func (b *scratchBuf) putBool(s []bool)     { b.bools.put(s) }
-
-func (b *scratchBuf) getAtomicI64(n int) []atomic.Int64 { return b.a64.get(b.arena, n) }
-func (b *scratchBuf) putAtomicI64(s []atomic.Int64)     { b.a64.put(s) }
 
 // getVecs/putVecs manage [][]float64 holders (SpMM rank staging). put
 // clears the elements first so the free list never pins rank vectors.

@@ -125,3 +125,36 @@ func TestPutVecsDropsReferences(t *testing.T) {
 		}
 	}
 }
+
+func TestLevelEvensOutWorkerFreeLists(t *testing.T) {
+	a := newScratchArena(3)
+	a.perWorker[0].putF64(make([]float64, 8))
+	a.perWorker[0].putF64(make([]float64, 8))
+	a.perWorker[1].putF64(make([]float64, 16))
+	a.perWorker[2].putI32(make([]int32, 4))
+	a.level()
+	for i := range a.perWorker {
+		sb := &a.perWorker[i]
+		if got := sb.f64.capCounts(); len(got) != 2 || got[8] != 2 || got[16] != 1 {
+			t.Fatalf("worker %d float64 caps %v, want two of 8 and one of 16", i, got)
+		}
+		if got := sb.i32.capCounts(); len(got) != 1 || got[4] != 1 {
+			t.Fatalf("worker %d int32 caps %v, want one of 4", i, got)
+		}
+	}
+	// Levelling a level arena changes nothing.
+	a.level()
+	if got := len(a.perWorker[1].f64.free); got != 3 {
+		t.Fatalf("second level grew worker 1 to %d float64 buffers, want 3", got)
+	}
+	// A worker that held nothing now serves the richest worker's
+	// requests from its own list.
+	before := a.stats()
+	sb := &a.perWorker[2]
+	sb.getF64(8)
+	sb.getF64(8)
+	sb.getF64(16)
+	if d := a.stats().Delta(before); d.Misses != 0 {
+		t.Fatalf("levelled worker missed %d requests", d.Misses)
+	}
+}

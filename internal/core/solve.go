@@ -85,6 +85,9 @@ type SolveOutput struct {
 	// WindowWall is this run's window wall-time distribution (the
 	// stage histogram's delta), the source of the report's percentiles.
 	WindowWall obs.HistogramSnapshot
+	// InRunsGraph and InRunsScanned are the kernel work counters (see
+	// RunReport).
+	InRunsGraph, InRunsScanned int64
 }
 
 // Run executes the plan. On cancellation it returns a *CanceledError
@@ -99,6 +102,7 @@ type SolveOutput struct {
 func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput, err error) {
 	defer emitStage(plan.Cfg.Journal, "solve", &err)()
 	r := &solveRun{
+		ctx:      ctx,
 		plan:     plan,
 		arena:    st.arena,
 		trace:    st.trace,
@@ -137,6 +141,9 @@ func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput
 	start := time.Now()
 	r.dispatch(ctx, st.pool)
 	dur := time.Since(start)
+	if plan.Cfg.DiscardRanks && st.arena.stats().Misses > scratchBefore.Misses {
+		st.arena.level()
+	}
 	if st.trace != nil {
 		st.trace.Complete("solve", "phase", 0, start, dur, nil)
 	}
@@ -167,10 +174,12 @@ func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput
 		}
 	}
 	out = SolveOutput{
-		Results:    r.results,
-		MWSweeps:   r.mwSweeps,
-		Seconds:    dur.Seconds(),
-		WindowWall: st.hist.WindowWall.Snapshot().Delta(wallBefore),
+		Results:       r.results,
+		MWSweeps:      r.mwSweeps,
+		Seconds:       dur.Seconds(),
+		WindowWall:    st.hist.WindowWall.Snapshot().Delta(wallBefore),
+		InRunsGraph:   r.inRunsGraph.Load(),
+		InRunsScanned: r.inRunsScanned.Load(),
 	}
 	if metrics {
 		d := st.pool.Stats().Delta(before)
@@ -195,6 +204,7 @@ func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput
 // executed, the result sink, and the cancellation flag the drivers
 // poll between windows, batches, and iterations.
 type solveRun struct {
+	ctx      context.Context // nil = never canceled
 	plan     *SolvePlan
 	arena    *scratchArena
 	trace    *obs.Trace
@@ -210,6 +220,9 @@ type solveRun struct {
 
 	canceledFlag atomic.Bool
 	completed    atomic.Int64
+	// Kernel work counters, added once per batch by runBatch.
+	inRunsGraph   atomic.Int64
+	inRunsScanned atomic.Int64
 	// abort carries the first fail-fast quarantine; drivers poll it like
 	// the cancel flag and Run returns it as the run's error.
 	abort atomic.Pointer[WindowError]
@@ -279,8 +292,31 @@ func (r *solveRun) dispatch(ctx context.Context, pool *sched.Pool) {
 		})
 	default: // Nested
 		pool.ParallelForCtx(ctx, count, outerGrain, part, func(w *sched.Worker, lo, hi int) {
-			fn(lo, hi, w.ID(), workerLoop(ctx, w, grain, part))
+			r.ownedRange(fn, lo, hi, w.ID(), workerLoop(ctx, w, grain, part))
 		})
+	}
+}
+
+// ownedRange runs fn over [lo, hi) as a nested-mode window-loop body,
+// one solve per worker at a time. A worker waiting in a kernel loop's
+// join may steal a span of this outer loop; solving it there would
+// check out a second buffer set, so it is queued on the worker's
+// scratchBuf and solved after the solve in progress returns.
+func (r *solveRun) ownedRange(fn func(lo, hi, wid int, loop forLoop), lo, hi, wid int, loop forLoop) {
+	sb := &r.arena.perWorker[wid]
+	if sb.solving {
+		sb.deferred = append(sb.deferred, [2]int{lo, hi})
+		return
+	}
+	sb.solving = true
+	defer func() {
+		sb.solving = false
+		sb.deferred = sb.deferred[:0]
+	}()
+	fn(lo, hi, wid, loop)
+	for i := 0; i < len(sb.deferred); i++ {
+		d := sb.deferred[i]
+		fn(d[0], d[1], wid, loop)
 	}
 }
 
@@ -299,12 +335,13 @@ func (r *solveRun) windowRange(lo, hi, wid int, loop forLoop) {
 	defer release()
 	cfg := &r.plan.Cfg
 	b := Batch{
-		cfg:     cfg,
-		scratch: sb,
-		loop:    loop,
-		views:   sb.getViews(1),
-		inits:   sb.getVecs(1),
-		isLive:  sb.getBool(1),
+		cfg:      cfg,
+		scratch:  sb,
+		loop:     loop,
+		runBound: r.plan.RunBound,
+		views:    sb.getViews(1),
+		inits:    sb.getVecs(1),
+		isLive:   sb.getBool(1),
 	}
 	liveBuf := sb.getInt(1)
 	var prev []float64
@@ -421,7 +458,7 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 	resultsBuf := sb.getResults(K)
 	liveBuf := sb.getInt(K)
 	isLiveBuf := sb.getBool(K)
-	b := Batch{cfg: cfg, scratch: sb, loop: loop, mw: mw}
+	b := Batch{cfg: cfg, scratch: sb, loop: loop, mw: mw, runBound: r.plan.RunBound}
 
 	// stage re-stages batch curJ from scratch; solveBatchFT calls it
 	// before every attempt, so retries see the exact inputs (including
@@ -547,11 +584,13 @@ func (r *solveRun) runBatch(kern Kernel, b *Batch) {
 	}
 	kern.Init(b)
 	opt := b.cfg.Opts
+	var sweeps int64
 	for it := 0; it < opt.MaxIter && len(b.live) > 0; it++ {
 		if r.canceled() {
 			b.truncated = true
 			break
 		}
+		sweeps++
 		for _, s := range b.live {
 			b.results[s].Iterations = it + 1
 		}
@@ -569,6 +608,14 @@ func (r *solveRun) runBatch(kern Kernel, b *Batch) {
 		}
 		b.live = next
 	}
+	if r.ctx != nil && r.ctx.Err() != nil {
+		// The scheduler skips a canceled loop's bodies as soon as ctx is
+		// done, possibly before the AfterFunc flag is set, so the last
+		// sweeps (or Init) may not have run: leave the batch undecided.
+		b.truncated = true
+	}
+	r.inRunsGraph.Add(sweeps * b.mw.NumInRuns())
+	r.inRunsScanned.Add(sweeps * b.keptRuns)
 	kern.Finalize(b)
 }
 

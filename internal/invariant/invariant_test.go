@@ -122,6 +122,13 @@ func TestCheckMultiWindowCorruptions(t *testing.T) {
 			want: "not sorted by neighbor",
 		},
 		{
+			name: "in-run offsets off by one",
+			corrupt: func(mw *tcsr.MultiWindow) {
+				mw.InRunRow[1]++
+			},
+			want: "in-run offsets",
+		},
+		{
 			name: "broken relabel table",
 			corrupt: func(mw *tcsr.MultiWindow) {
 				ids := mw.GlobalIDs()

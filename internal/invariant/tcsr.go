@@ -1,6 +1,8 @@
 package invariant
 
 import (
+	"slices"
+
 	"pmpr/internal/events"
 	"pmpr/internal/tcsr"
 )
@@ -8,9 +10,9 @@ import (
 // CheckMultiWindow validates the temporal CSR structure of one
 // multi-window graph (Sec. 4.1, Fig. 3): row-pointer monotonicity and
 // bounds on both adjacency sides, per-row run ordering by
-// (neighbor, time), aliasing of the two sides for undirected builds,
-// and the local-relabel bijection (ascending global ids mapping back to
-// their local slots).
+// (neighbor, time), the in-run offsets, aliasing of the two sides for
+// undirected builds, and the local-relabel bijection (ascending global
+// ids mapping back to their local slots).
 func CheckMultiWindow(mw *tcsr.MultiWindow, directed bool) error {
 	var v violations
 	n := int(mw.NumLocal())
@@ -23,6 +25,10 @@ func CheckMultiWindow(mw *tcsr.MultiWindow, directed bool) error {
 		checkSide(&v, "in", mw.InRow, mw.InCol, mw.InTime, n)
 	} else if n > 0 && len(mw.OutCol) > 0 && !mw.OutColAliased() {
 		v.addf("invariant: undirected build does not alias the in and out views")
+	}
+	if len(v.errs) == 0 && !slices.Equal(mw.InRunRow, tcsr.RunRow(mw.InRow, mw.InCol)) {
+		// Kernels place per-run buffers by these offsets.
+		v.addf("invariant: in-run offsets disagree with the in-CSR's runs")
 	}
 	if mw.NumEvents() != len(mw.OutCol) {
 		v.addf("invariant: NumEvents %d != stored out entries %d", mw.NumEvents(), len(mw.OutCol))

@@ -59,8 +59,10 @@ func TestRepoHotpathCoversRegistry(t *testing.T) {
 		t.Skip("loads and type-checks the whole module from source")
 	}
 	names := core.RegisteredKernels()
-	if len(names) < 3 {
-		t.Fatalf("suspiciously few registered kernels: %v", names)
+	for _, want := range []string{core.SpMV.String(), core.SpMM.String()} {
+		if _, ok := core.LookupKernel(want); !ok {
+			t.Fatalf("kernel %q not registered; registry: %v", want, names)
+		}
 	}
 	entries := HotpathEntryNames(NewModule(loadRepo(t)))
 	have := make(map[string]bool, len(entries))

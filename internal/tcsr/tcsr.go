@@ -54,6 +54,11 @@ type MultiWindow struct {
 	InRow  []int64
 	InCol  []int32
 	InTime []int64
+	// InRunRow[v] is the number of in-runs (distinct in-neighbors) of
+	// the local vertices before v, so v's runs are the run indices
+	// [InRunRow[v], InRunRow[v+1]) and InRunRow[NumLocal] is the total.
+	// Kernels size and place per-run buffers by it.
+	InRunRow []int64
 
 	// Out-adjacency, same layout keyed by source vertex.
 	OutRow  []int64
@@ -151,6 +156,10 @@ func (mw *MultiWindow) NumLocal() int32 { return int32(len(mw.globalID)) }
 
 // NumWindows returns how many windows this multi-window graph covers.
 func (mw *MultiWindow) NumWindows() int { return mw.WinHi - mw.WinLo }
+
+// NumInRuns returns the number of in-runs: distinct (target, source)
+// pairs with at least one stored event.
+func (mw *MultiWindow) NumInRuns() int64 { return mw.InRunRow[len(mw.InRunRow)-1] }
 
 // NumEvents returns |Ew|, the number of stored events.
 func (mw *MultiWindow) NumEvents() int { return mw.events }
@@ -302,7 +311,24 @@ func buildMW(l *events.Log, spec events.WindowSpec, winLo, winHi int, directed b
 	} else {
 		mw.InRow, mw.InCol, mw.InTime = mw.OutRow, mw.OutCol, mw.OutTime
 	}
+	mw.InRunRow = RunRow(mw.InRow, mw.InCol)
 	return mw, nil
+}
+
+// RunRow returns the run offsets of a CSR side: entry v counts the
+// runs (maximal stretches of one neighbor) in the rows before v.
+func RunRow(row []int64, col []int32) []int64 {
+	runs := make([]int64, len(row))
+	for v := 0; v+1 < len(row); v++ {
+		r := runs[v]
+		for i := row[v]; i < row[v+1]; i++ {
+			if i == row[v] || col[i] != col[i-1] {
+				r++
+			}
+		}
+		runs[v+1] = r
+	}
+	return runs
 }
 
 // buildSide builds one temporal CSR side over local ids, runs sorted by

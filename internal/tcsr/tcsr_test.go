@@ -430,3 +430,51 @@ func TestRunActive(t *testing.T) {
 		}
 	}
 }
+
+// TestInRunRowCountsDistinctInNeighbors pins the in-run offsets the
+// kernels place their compact buffers by: vertex v owns exactly one run
+// per distinct in-neighbor, and NumInRuns is the total.
+func TestInRunRowCountsDistinctInNeighbors(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	evs := make([]events.Event, 400)
+	for i := range evs {
+		evs[i] = ev(int32(rng.Intn(20)), int32(rng.Intn(20)), int64(i))
+	}
+	l, err := events.NewLog(evs, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := events.WindowSpec{T0: 0, Delta: 60, Slide: 30, Count: 12}
+	for _, directed := range []bool{true, false} {
+		log := l
+		if !directed {
+			log = l.Symmetrize()
+		}
+		tg, err := Build(log, spec, 3, directed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mw := range tg.MWs {
+			n := int(mw.NumLocal())
+			if len(mw.InRunRow) != n+1 || mw.InRunRow[0] != 0 {
+				t.Fatalf("directed=%v: InRunRow has %d entries starting at %d, want %d from 0",
+					directed, len(mw.InRunRow), mw.InRunRow[0], n+1)
+			}
+			var total int64
+			for v := 0; v < n; v++ {
+				nbrs := map[int32]bool{}
+				for _, c := range mw.InCol[mw.InRow[v]:mw.InRow[v+1]] {
+					nbrs[c] = true
+				}
+				if got := mw.InRunRow[v+1] - mw.InRunRow[v]; got != int64(len(nbrs)) {
+					t.Fatalf("directed=%v: vertex %d has %d runs, %d distinct in-neighbors",
+						directed, v, got, len(nbrs))
+				}
+				total += int64(len(nbrs))
+			}
+			if mw.NumInRuns() != total {
+				t.Fatalf("directed=%v: NumInRuns = %d, want %d", directed, mw.NumInRuns(), total)
+			}
+		}
+	}
+}
