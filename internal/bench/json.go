@@ -42,10 +42,11 @@ type EngineRunSummary struct {
 	WallP50 float64 `json:"wall_p50,omitempty"`
 	WallP95 float64 `json:"wall_p95,omitempty"`
 	WallP99 float64 `json:"wall_p99,omitempty"`
-	// InRunsGraph, InRunsScanned and ScanEfficiency are the run's
-	// deterministic kernel work counters (see core.RunReport).
+	// InRunsGraph, InRunsScanned, InRunsPulled and ScanEfficiency are
+	// the run's deterministic kernel work counters (see core.RunReport).
 	InRunsGraph    int64   `json:"in_runs_graph"`
 	InRunsScanned  int64   `json:"in_runs_scanned"`
+	InRunsPulled   int64   `json:"in_runs_pulled"`
 	ScanEfficiency float64 `json:"scan_efficiency"`
 }
 
@@ -105,6 +106,7 @@ func (j *JSONReport) Sink() func(*core.RunReport) {
 			WallP99:         r.WindowWallPercentiles.P99,
 			InRunsGraph:     r.InRunsGraph,
 			InRunsScanned:   r.InRunsScanned,
+			InRunsPulled:    r.InRunsPulled,
 			ScanEfficiency:  r.ScanEfficiency,
 		})
 	}

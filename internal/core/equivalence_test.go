@@ -311,3 +311,56 @@ func TestKernelWorkCounters(t *testing.T) {
 	spmv := run(SpMV, Nested, one)
 	same("spmv rerun", spmv, run(SpMV, Nested, one))
 }
+
+// TestKernelPulledCounter checks the report's in_runs_pulled: for both
+// kernels and build directions it is every window's active edges times
+// its iterations, and it repeats exactly across reruns and, for SpMM,
+// between a one-worker run and a window-level run.
+func TestKernelPulledCounter(t *testing.T) {
+	l := randomLog(t, 82, 40, 3000, 12000)
+	spec, err := events.Span(l, 600, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := sched.NewPool(1)
+	defer one.Close()
+	two := sched.NewPool(2)
+	defer two.Close()
+	for _, directed := range []bool{true, false} {
+		for _, kernel := range []KernelID{SpMV, SpMM} {
+			run := func(mode ParallelMode, pool *sched.Pool) int64 {
+				cfg := DefaultConfig()
+				cfg.Kernel = kernel
+				cfg.Mode = mode
+				cfg.Directed = directed
+				eng, err := NewEngine(l, spec, cfg, pool)
+				if err != nil {
+					t.Fatalf("NewEngine: %v", err)
+				}
+				s, err := eng.Run(context.Background())
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				var want int64
+				for w := 0; w < spec.Count; w++ {
+					want += eng.Temporal().ForWindow(w).ActiveEdges(w) * int64(s.Window(w).Iterations)
+				}
+				if got := s.Report.InRunsPulled; got != want || got <= 0 {
+					t.Fatalf("directed=%v %v/%v: in_runs_pulled %d, want active edges x iterations = %d",
+						directed, kernel, mode, got, want)
+				}
+				return s.Report.InRunsPulled
+			}
+			first := run(Nested, one)
+			if again := run(Nested, one); again != first {
+				t.Fatalf("directed=%v %v: rerun pulled %d, first %d", directed, kernel, again, first)
+			}
+			if kernel != SpMM {
+				continue // window-level SpMV chains warm starts differently
+			}
+			if wl := run(WindowLevel, two); wl != first {
+				t.Fatalf("directed=%v %v: window-level pulled %d, one worker %d", directed, kernel, wl, first)
+			}
+		}
+	}
+}

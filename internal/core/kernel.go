@@ -70,10 +70,13 @@ type Batch struct {
 	// returning a *CanceledError and a resume re-solves them).
 	truncated bool
 
-	// runBound is SolvePlan.RunBound (see buildActiveRuns); Init sets
-	// keptRuns to the runs each sweep walks, for the work counters.
+	// runBound is SolvePlan.RunBound (see buildActiveRuns). For the
+	// work counters, Init sets keptRuns to the distinct runs active in
+	// some slot and slotRuns[k] to slot k's compact entries, which
+	// every sweep that advances slot k sums.
 	runBound int
 	keptRuns int64
+	slotRuns []int64
 
 	// state is the kernel's per-batch working set (vectors, bound loop
 	// bodies); one boxed allocation per batch, amortized over its

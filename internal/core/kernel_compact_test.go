@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pmpr/internal/events"
@@ -320,5 +321,132 @@ func TestCompactSpMVSweepBitIdenticalToScan(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBuildActiveRunsSlotMajor checks the slot-major compact CSR
+// against a brute-force RunActive listing: row (v, k) holds, in run
+// order, the sources of v's in-runs active in slot k. It also checks
+// the per-slot entry counts against each window's active edges, the
+// distinct-run count, and the vertex slot masks slotState derives.
+func TestBuildActiveRunsSlotMajor(t *testing.T) {
+	for _, directed := range []bool{true, false} {
+		for _, K := range []int{1, 3, 8, 70} {
+			t.Run(fmt.Sprintf("directed=%v/K=%d", directed, K), func(t *testing.T) {
+				b := compactFixture(t, directed, false, K)
+				mw, sb := b.mw, b.scratch
+				n := int(mw.NumLocal())
+				tsK, teK := make([]int64, K), make([]int64, K)
+				for k, view := range b.views {
+					tsK[k], teK[k] = view.Ts, view.Te
+				}
+				ar := buildActiveRuns(mw, tsK, teK, b.runBound, serialLoop, sb)
+				defer ar.release(sb)
+				if len(ar.row) != n*K+1 {
+					t.Fatalf("%d row offsets, want %d", len(ar.row), n*K+1)
+				}
+				var distinct int64
+				slotLen := make([]int64, K)
+				for v := 0; v < n; v++ {
+					want := make([][]int32, K)
+					i, end := mw.InRow[v], mw.InRow[v+1]
+					for i < end {
+						j := i + 1
+						for j < end && mw.InCol[j] == mw.InCol[i] {
+							j++
+						}
+						hit := false
+						for k := 0; k < K; k++ {
+							if tcsr.RunActive(mw.InTime[i:j], tsK[k], teK[k]) {
+								want[k] = append(want[k], mw.InCol[i])
+								hit = true
+							}
+						}
+						if hit {
+							distinct++
+						}
+						i = j
+					}
+					for k := 0; k < K; k++ {
+						got := ar.col[ar.row[v*K+k]:ar.row[v*K+k+1]]
+						if !slices.Equal(got, want[k]) {
+							t.Fatalf("row (%d, %d) = %v, want %v", v, k, got, want[k])
+						}
+						slotLen[k] += int64(len(want[k]))
+					}
+				}
+				if ar.distinct != distinct {
+					t.Fatalf("distinct runs %d, want %d", ar.distinct, distinct)
+				}
+				for k, view := range b.views {
+					if ar.slotLen[k] != slotLen[k] || slotLen[k] != mw.ActiveEdges(view.W) {
+						t.Fatalf("slot %d: %d entries, want %d = active edges %d",
+							k, ar.slotLen[k], slotLen[k], mw.ActiveEdges(view.W))
+					}
+				}
+
+				words := (K + 63) / 64
+				invdeg := make([]float64, n*K)
+				active := make([]bool, n*K)
+				vmask := make([]uint64, n*words)
+				na := ar.slotState(mw.OutColAliased(), invdeg, active, vmask, serialLoop, sb)
+				defer sb.putI32(na)
+				for k, view := range b.views {
+					inv, act := scanState(mw, view.Ts, view.Te, directed)
+					var cnt int32
+					for v := 0; v < n; v++ {
+						bit := vmask[v*words+k/64]>>(k%64)&1 == 1
+						if !sameBits(invdeg[v*K+k], inv[v]) || active[v*K+k] != act[v] || bit != act[v] {
+							t.Fatalf("vertex %d slot %d: (%v, %v, mask %v), oracle (%v, %v)",
+								v, k, invdeg[v*K+k], active[v*K+k], bit, inv[v], act[v])
+						}
+						if act[v] {
+							cnt++
+						}
+					}
+					if na[k] != cnt {
+						t.Fatalf("slot %d: %d active vertices, want %d", k, na[k], cnt)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSpMMRetiredSlotFrozen retires a slot, runs two more sweeps, and
+// checks that the slot's entries in both x and y, and the vector
+// Finalize publishes, equal its last iterate bit for bit.
+func TestSpMMRetiredSlotFrozen(t *testing.T) {
+	for _, directed := range []bool{true, false} {
+		t.Run(fmt.Sprintf("directed=%v", directed), func(t *testing.T) {
+			b := compactFixture(t, directed, true, 8)
+			n, K := int(b.mw.NumLocal()), 8
+			spmmKernel{}.Init(b)
+			s := b.state.(*spmmState)
+			if len(b.live) < 2 {
+				t.Fatalf("only %d live slots", len(b.live))
+			}
+			spmmKernel{}.Iterate(b)
+			spmmKernel{}.Iterate(b)
+			slot := b.live[0]
+			last := make([]float64, n)
+			for v := range last {
+				last[v] = s.x[v*K+slot]
+			}
+			retire(b, slot)
+			spmmKernel{}.Iterate(b)
+			spmmKernel{}.Iterate(b)
+			for v := 0; v < n; v++ {
+				if !sameBits(s.x[v*K+slot], last[v]) || !sameBits(s.y[v*K+slot], last[v]) {
+					t.Fatalf("vertex %d: x %v, y %v, last iterate %v", v, s.x[v*K+slot], s.y[v*K+slot], last[v])
+				}
+			}
+			spmmKernel{}.Finalize(b)
+			for v, r := range b.results[slot].ranks {
+				if !sameBits(r, last[v]) {
+					t.Fatalf("vertex %d: published %v, last iterate %v", v, r, last[v])
+				}
+			}
+		})
 	}
 }

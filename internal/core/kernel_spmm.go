@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"pmpr/internal/sched"
-	"pmpr/internal/tcsr"
 )
 
 // spmmKernel advances the PageRank vectors of a whole batch of windows
@@ -27,19 +26,21 @@ func init() { RegisterKernel(spmmKernel{}) }
 
 // spmmState is the kernel's per-batch working set; the interleaved x
 // and y swap through the state pointer so the bound passes track them
-// for free.
+// for free. liveMask holds the slots the last sweep advanced, and
+// verts the vertices active in at least one of them.
 type spmmState struct {
 	tsK, teK     []int64
 	runs         activeRuns
 	verts        []int32
+	vmask        []uint64 // ceil(K/64) words per vertex: its active slots
 	liveMask     []uint64
+	retired      []uint64 // slots retired since the last sweep
 	invdeg       []float64
 	active       []bool
 	na           []int32
 	x, y, z      []float64
 	laneDangling []float64
 	laneDelta    []float64
-	laneAcc      []float64
 	baseK        []float64
 	pass1, pass2 sched.Body
 }
@@ -51,16 +52,19 @@ func (spmmKernel) Name() string { return "spmm" }
 // the shared temporal CSR advances.
 func (spmmKernel) BatchWidth(cfg *Config) int { return cfg.VectorLen }
 
-// Init builds the batch's compact in-CSR, stages the interleaved window
-// states and starting vectors (Eq. 4 per slot where a predecessor
+// Init builds the batch's slot-major compact in-CSR and window state,
+// stages the starting vectors (Eq. 4 per slot where a predecessor
 // vector is supplied, uniform otherwise), binds the two sweep passes,
-// and marks non-empty slots live.
+// and marks non-empty slots live. Both passes visit only the (vertex,
+// slot) pairs set in vmask & liveMask; every other entry of y keeps
+// its zero from the arena, or a retired slot's frozen iterate.
 func (spmmKernel) Init(b *Batch) {
 	mw := b.mw
 	n := int(mw.NumLocal())
 	K := b.width()
+	words := (K + 63) / 64
 	sb, loop := b.scratch, b.loop
-	opt := b.cfg.Opts
+	damp := 1 - b.cfg.Opts.Alpha
 	lanes := sb.lanes()
 	s := &spmmState{}
 	b.state = s
@@ -72,76 +76,17 @@ func (spmmKernel) Init(b *Batch) {
 	}
 	s.tsK, s.teK = tsK, teK
 
-	// The batch's compact in-CSR: every in-run active in at least one
-	// slot, with its window mask. Pass 2 walks only these runs.
-	runs := buildActiveRuns(mw, tsK, teK, true, b.runBound, loop, sb)
+	runs := buildActiveRuns(mw, tsK, teK, b.runBound, loop, sb)
 	s.runs = runs
-	b.keptRuns = int64(len(runs.col))
-	words := runs.words
-	row, col, mask := runs.row, runs.col, runs.mask
+	b.keptRuns, b.slotRuns = runs.distinct, runs.slotLen
+	row, col := runs.row, runs.col
 
-	// Per-window inverse out-degrees and activity flags, interleaved,
-	// with |V_i| per window reduced via lanes. A vertex is active in
-	// slot k when it has an in- or an out-edge there. Bit k of a run in
-	// its compact row is an in-edge; in an undirected build, whose
-	// out-runs are its in-runs, it is also an out-edge, so the row
-	// gives the out-degree counts too. A directed build counts them on
-	// its out-CSR. Counts are inverted in place.
 	invdeg := sb.getF64(n * K)
 	active := sb.getBool(n * K)
-	laneCnt := sb.getI32(lanes * K)
-	undirected := mw.OutColAliased()
-	loop(n, func(wk *sched.Worker, lo, hi int) {
-		cnt := laneCnt[laneOf(wk)*K:][:K]
-		for v := lo; v < hi; v++ {
-			deg := invdeg[v*K:][:K]
-			act := active[v*K:][:K]
-			for i := row[v]; i < row[v+1]; i++ {
-				for w, m := range mask[i*int64(words):][:words] {
-					for ; m != 0; m &= m - 1 {
-						k := w<<6 + bits.TrailingZeros64(m)
-						act[k] = true
-						if undirected {
-							deg[k]++
-						}
-					}
-				}
-			}
-			if !undirected {
-				i, end := mw.OutRow[v], mw.OutRow[v+1]
-				for i < end {
-					j := i + 1
-					c := mw.OutCol[i]
-					for j < end && mw.OutCol[j] == c {
-						j++
-					}
-					times := mw.OutTime[i:j]
-					for k := range deg {
-						if tcsr.RunActive(times, tsK[k], teK[k]) {
-							deg[k]++
-						}
-					}
-					i = j
-				}
-			}
-			for k, d := range deg {
-				if d > 0 {
-					deg[k] = 1 / d
-					act[k] = true
-				}
-				if act[k] {
-					cnt[k]++
-				}
-			}
-		}
-	})
-	s.invdeg = invdeg
-	s.active = active
-	na := sb.getI32(K)
+	vmask := sb.getU64(n * words)
+	na := runs.slotState(mw.OutColAliased(), invdeg, active, vmask, loop, sb)
+	s.invdeg, s.active, s.vmask, s.na = invdeg, active, vmask, na
 	for k := 0; k < K; k++ {
-		for l := 0; l < lanes; l++ {
-			na[k] += laneCnt[l*K+k]
-		}
 		b.results[k].ActiveVertices = na[k]
 		if na[k] > 0 {
 			b.markLive(k)
@@ -149,8 +94,11 @@ func (spmmKernel) Init(b *Batch) {
 			b.results[k].Converged = true
 		}
 	}
-	sb.putI32(laneCnt)
-	s.na = na
+	liveMask := sb.getU64(words)
+	for _, k := range b.live {
+		liveMask[k>>6] |= 1 << (k & 63)
+	}
+	s.liveMask, s.retired = liveMask, sb.getU64(words)
 
 	// The batch's vertices: those active in at least one slot. Every
 	// other vertex holds rank 0 in every slot throughout, so the sweeps
@@ -158,8 +106,8 @@ func (spmmKernel) Init(b *Batch) {
 	verts := sb.getI32(n)
 	nv := 0
 	for v := 0; v < n; v++ {
-		for _, a := range active[v*K:][:K] {
-			if a {
+		for _, m := range vmask[v*words:][:words] {
+			if m != 0 {
 				verts[nv] = int32(v)
 				nv++
 				break
@@ -229,64 +177,46 @@ func (spmmKernel) Init(b *Batch) {
 
 	laneDangling := sb.getF64(lanes * K)
 	laneDelta := sb.getF64(lanes * K)
-	laneAcc := sb.getF64(lanes * K)
 	baseK := sb.getF64(K)
-	s.laneDangling, s.laneDelta, s.laneAcc, s.baseK = laneDangling, laneDelta, laneAcc, baseK
-	isLive := b.isLive
+	s.laneDangling, s.laneDelta, s.baseK = laneDangling, laneDelta, baseK
 
 	// Pass 1 (by source): scaled contributions + dangling mass.
 	s.pass1 = func(wk *sched.Worker, lo, hi int) {
 		xv := s.x
-		live := b.live
 		d := laneDangling[laneOf(wk)*K:][:K]
-		for _, u32 := range verts[lo:hi] {
+		for _, u32 := range s.verts[lo:hi] {
 			u := int(u32)
-			for _, k := range live {
-				z[u*K+k] = xv[u*K+k] * invdeg[u*K+k]
-				if active[u*K+k] && invdeg[u*K+k] == 0 {
-					d[k] += xv[u*K+k]
+			for w, m := range vmask[u*words:][:words] {
+				for m &= liveMask[w]; m != 0; m &= m - 1 {
+					k := w<<6 + bits.TrailingZeros64(m)
+					i := u*K + k
+					z[i] = xv[i] * invdeg[i]
+					if invdeg[i] == 0 {
+						d[k] += xv[i]
+					}
 				}
 			}
 		}
 	}
-	// Pass 2 (by target): one sweep of the compact CSR advances all
-	// live windows; a run adds to the slots of its mask that are live.
-	liveMask := sb.getU64(words)
-	s.liveMask = liveMask
+	// Pass 2 (by target): row (v, k) of the compact CSR sums slot k's
+	// contributions into v.
 	s.pass2 = func(wk *sched.Worker, lo, hi int) {
 		xv, yv := s.x, s.y
-		live := b.live
-		lane := laneOf(wk)
-		acc := laneAcc[lane*K:][:K]
-		dl := laneDelta[lane*K:][:K]
-		for _, v32 := range verts[lo:hi] {
+		dl := laneDelta[laneOf(wk)*K:][:K]
+		for _, v32 := range s.verts[lo:hi] {
 			v := int(v32)
-			for _, k := range live {
-				acc[k] = 0
-			}
-			for i := row[v]; i < row[v+1]; i++ {
-				zc := z[int(col[i])*K:][:K]
-				for w, m := range mask[i*int64(words):][:words] {
-					for m &= liveMask[w]; m != 0; m &= m - 1 {
-						k := w<<6 + bits.TrailingZeros64(m)
-						acc[k] += zc[k]
+			for w, m := range vmask[v*words:][:words] {
+				for m &= liveMask[w]; m != 0; m &= m - 1 {
+					k := w<<6 + bits.TrailingZeros64(m)
+					i := v*K + k
+					var acc float64
+					for _, c := range col[row[i]:row[i+1]] {
+						acc += z[int(c)*K+k]
 					}
+					nv := baseK[k] + damp*acc
+					dl[k] += math.Abs(nv - xv[i])
+					yv[i] = nv
 				}
-			}
-			for k := 0; k < K; k++ {
-				if !isLive[k] {
-					// Keep converged windows' entries current so the
-					// array swap does not resurrect stale iterates.
-					yv[v*K+k] = xv[v*K+k]
-					continue
-				}
-				if !active[v*K+k] {
-					yv[v*K+k] = 0
-					continue
-				}
-				nv := baseK[k] + (1-opt.Alpha)*acc[k]
-				dl[k] += math.Abs(nv - xv[v*K+k])
-				yv[v*K+k] = nv
 			}
 		}
 	}
@@ -296,20 +226,26 @@ func (spmmKernel) Init(b *Batch) {
 	sb.putBool(partial)
 }
 
-// Iterate runs one shared-CSR sweep advancing all live slots: pass 1,
+// Iterate runs one shared-CSR sweep advancing all live slots: it
+// freezes the slots retired since the last sweep, then runs pass 1,
 // the per-slot dangling reductions, pass 2, and the vector swap.
 func (spmmKernel) Iterate(b *Batch) {
 	s := b.state.(*spmmState)
 	K := b.width()
-	n := len(s.verts)
 	lanes := b.scratch.lanes()
 	alpha := b.cfg.Opts.Alpha
-	clear(s.laneDangling)
-	clear(s.laneDelta)
+	// Live slots are a subset of the last sweep's; the difference is
+	// the slots retired since.
+	copy(s.retired, s.liveMask)
 	clear(s.liveMask)
 	for _, k := range b.live {
 		s.liveMask[k>>6] |= 1 << (k & 63)
+		s.retired[k>>6] &^= 1 << (k & 63)
 	}
+	s.retire(K)
+	n := len(s.verts)
+	clear(s.laneDangling)
+	clear(s.laneDelta)
 	b.loop(n, s.pass1)
 	for _, k := range b.live {
 		var d float64
@@ -321,6 +257,38 @@ func (spmmKernel) Iterate(b *Batch) {
 	}
 	b.loop(n, s.pass2)
 	s.x, s.y = s.y, s.x
+}
+
+// retire freezes the slots set in s.retired: their final iterate is
+// in x, and copying it into y once keeps it in both arrays through
+// every later swap. It also drops, in order, the vertices left without
+// a live active slot from verts, so the sweeps stop visiting them.
+func (s *spmmState) retire(K int) {
+	words := len(s.liveMask)
+	retired := false
+	for _, m := range s.retired {
+		retired = retired || m != 0
+	}
+	if !retired {
+		return
+	}
+	nv := 0
+	for _, v32 := range s.verts {
+		v := int(v32)
+		keep := false
+		for w, m := range s.vmask[v*words:][:words] {
+			keep = keep || m&s.liveMask[w] != 0
+			for m &= s.retired[w]; m != 0; m &= m - 1 {
+				i := v*K + w<<6 + bits.TrailingZeros64(m)
+				s.y[i] = s.x[i]
+			}
+		}
+		if keep {
+			s.verts[nv] = v32
+			nv++
+		}
+	}
+	s.verts = s.verts[:nv]
 }
 
 // Residual sums slot's lane deltas of the last sweep.
@@ -356,13 +324,14 @@ func (spmmKernel) Finalize(b *Batch) {
 	sb.putBool(s.active)
 	s.runs.release(sb)
 	sb.putI32(s.verts)
+	sb.putU64(s.vmask)
 	sb.putU64(s.liveMask)
+	sb.putU64(s.retired)
 	sb.putI64(s.tsK)
 	sb.putI64(s.teK)
 	sb.putI32(s.na)
 	sb.putF64(s.laneDangling)
 	sb.putF64(s.laneDelta)
-	sb.putF64(s.laneAcc)
 	sb.putF64(s.baseK)
 	b.state = nil
 }

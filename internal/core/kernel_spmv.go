@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"pmpr/internal/sched"
-	"pmpr/internal/tcsr"
 )
 
 // initVector fills x with the starting PageRank values of a window
@@ -109,63 +108,27 @@ func (spmvKernel) Name() string { return "spmv" }
 func (spmvKernel) BatchWidth(*Config) int { return 1 }
 
 // Init builds the window's compact in-CSR, its inverse out-degrees and
-// activity flags, draws the iteration vectors, and binds the two
-// passes. A vertex is active with an out-edge or a kept in-run. An
-// undirected build reads its out-degrees off the compact in-CSR (the
-// two sides alias); a directed build counts them on the out-CSR.
+// activity flags (see activeRuns.slotState), draws the iteration
+// vectors, and binds the two passes.
 func (spmvKernel) Init(b *Batch) {
 	view := b.views[0]
 	mw := view.MW
 	n := int(mw.NumLocal())
-	ts, te := view.Ts, view.Te
 	sb, loop := b.scratch, b.loop
 	s := &spmvState{}
 	b.state = s
 	tsK, teK := sb.getI64(1), sb.getI64(1)
-	tsK[0], teK[0] = ts, te
-	s.runs = buildActiveRuns(mw, tsK, teK, false, b.runBound, loop, sb)
+	tsK[0], teK[0] = view.Ts, view.Te
+	s.runs = buildActiveRuns(mw, tsK, teK, b.runBound, loop, sb)
 	sb.putI64(tsK)
 	sb.putI64(teK)
-	b.keptRuns = int64(len(s.runs.col))
+	b.keptRuns, b.slotRuns = s.runs.distinct, s.runs.slotLen
 	invdeg, active := sb.getF64(n), sb.getBool(n)
 	s.invdeg, s.active = invdeg, active
 	row, col := s.runs.row, s.runs.col
-	undirected := mw.OutColAliased()
-	laneNA := sb.getI32(sb.lanes())
-	loop(n, func(wk *sched.Worker, lo, hi int) {
-		var cnt int32
-		for v := lo; v < hi; v++ {
-			in := row[v+1] - row[v]
-			deg := in
-			if !undirected {
-				deg = 0
-				i, end := mw.OutRow[v], mw.OutRow[v+1]
-				for i < end {
-					j := i + 1
-					for j < end && mw.OutCol[j] == mw.OutCol[i] {
-						j++
-					}
-					if tcsr.RunActive(mw.OutTime[i:j], ts, te) {
-						deg++
-					}
-					i = j
-				}
-			}
-			if deg > 0 {
-				invdeg[v] = 1 / float64(deg)
-			}
-			if deg > 0 || in > 0 {
-				active[v] = true
-				cnt++
-			}
-		}
-		laneNA[laneOf(wk)] += cnt
-	})
-	var na int32
-	for _, c := range laneNA {
-		na += c
-	}
-	sb.putI32(laneNA)
+	nas := s.runs.slotState(mw.OutColAliased(), invdeg, active, nil, loop, sb)
+	na := nas[0]
+	sb.putI32(nas)
 	res := &b.results[0]
 	res.ActiveVertices = na
 	s.x = sb.getF64(n)
@@ -206,8 +169,7 @@ func (spmvKernel) Init(b *Batch) {
 		var delta float64
 		for v := lo; v < hi; v++ {
 			if !active[v] {
-				y[v] = 0
-				continue
+				continue // y[v] keeps the arena's zero
 			}
 			var acc float64
 			for _, c := range col[row[v]:row[v+1]] {

@@ -275,6 +275,7 @@ func (PublishStage) Run(in PublishInput) (series *Series, err error) {
 
 		InRunsGraph:   in.Solve.InRunsGraph,
 		InRunsScanned: in.Solve.InRunsScanned,
+		InRunsPulled:  in.Solve.InRunsPulled,
 	}
 	if rep.InRunsGraph > 0 {
 		rep.ScanEfficiency = float64(rep.InRunsScanned) / float64(rep.InRunsGraph)

@@ -109,10 +109,13 @@ type RunReport struct {
 
 	// Kernel work counters, deterministic for a log and config:
 	// InRunsGraph is the swept graphs' in-runs × sweeps (what testing
-	// every run on every sweep costs), InRunsScanned the compact
-	// in-runs × sweeps the kernels walked, ScanEfficiency their ratio.
+	// every run on every sweep costs), InRunsScanned the distinct runs
+	// active in some window of a batch × its sweeps, ScanEfficiency
+	// their ratio. InRunsPulled is the (run, window) entries the sweeps
+	// summed: each window's active in-runs × its iterations.
 	InRunsGraph    int64   `json:"in_runs_graph"`
 	InRunsScanned  int64   `json:"in_runs_scanned"`
+	InRunsPulled   int64   `json:"in_runs_pulled"`
 	ScanEfficiency float64 `json:"scan_efficiency"`
 
 	// WindowWallSeconds[w] is window w's solve wall time; for the SpMM

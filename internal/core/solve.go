@@ -85,9 +85,9 @@ type SolveOutput struct {
 	// WindowWall is this run's window wall-time distribution (the
 	// stage histogram's delta), the source of the report's percentiles.
 	WindowWall obs.HistogramSnapshot
-	// InRunsGraph and InRunsScanned are the kernel work counters (see
-	// RunReport).
-	InRunsGraph, InRunsScanned int64
+	// InRunsGraph, InRunsScanned and InRunsPulled are the kernel work
+	// counters (see RunReport).
+	InRunsGraph, InRunsScanned, InRunsPulled int64
 }
 
 // Run executes the plan. On cancellation it returns a *CanceledError
@@ -180,6 +180,7 @@ func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput
 		WindowWall:    st.hist.WindowWall.Snapshot().Delta(wallBefore),
 		InRunsGraph:   r.inRunsGraph.Load(),
 		InRunsScanned: r.inRunsScanned.Load(),
+		InRunsPulled:  r.inRunsPulled.Load(),
 	}
 	if metrics {
 		d := st.pool.Stats().Delta(before)
@@ -223,6 +224,7 @@ type solveRun struct {
 	// Kernel work counters, added once per batch by runBatch.
 	inRunsGraph   atomic.Int64
 	inRunsScanned atomic.Int64
+	inRunsPulled  atomic.Int64
 	// abort carries the first fail-fast quarantine; drivers poll it like
 	// the cancel flag and Run returns it as the run's error.
 	abort atomic.Pointer[WindowError]
@@ -616,6 +618,11 @@ func (r *solveRun) runBatch(kern Kernel, b *Batch) {
 	}
 	r.inRunsGraph.Add(sweeps * b.mw.NumInRuns())
 	r.inRunsScanned.Add(sweeps * b.keptRuns)
+	var pulled int64
+	for s, entries := range b.slotRuns {
+		pulled += entries * int64(b.results[s].Iterations)
+	}
+	r.inRunsPulled.Add(pulled)
 	kern.Finalize(b)
 }
 
