@@ -376,10 +376,7 @@ func main() {
 			len(stats), total, ins, rem, elapsed.Seconds())
 	case "components":
 		cfg := wcc.DefaultConfig()
-		cfg.Partitioner = ef.SchedPartitioner()
-		cfg.Grain = ef.Grain
-		cfg.NumMultiWindows = ef.MW
-		cfg.Directed = ef.Directed
+		cfg.Config = ef.PerWindow()
 		eng, err := wcc.NewEngine(l, spec, cfg, pool)
 		if err != nil {
 			fatal(err)
@@ -397,10 +394,7 @@ func main() {
 		fmt.Printf("components: %d windows, %.3fs\n", s.Len(), elapsed.Seconds())
 	case "kcore":
 		cfg := kcore.DefaultConfig()
-		cfg.Partitioner = ef.SchedPartitioner()
-		cfg.Grain = ef.Grain
-		cfg.NumMultiWindows = ef.MW
-		cfg.Directed = ef.Directed
+		cfg.Config = ef.PerWindow()
 		eng, err := kcore.NewEngine(l, spec, cfg, pool)
 		if err != nil {
 			fatal(err)
@@ -418,10 +412,7 @@ func main() {
 		fmt.Printf("kcore: %d windows, %.3fs\n", s.Len(), elapsed.Seconds())
 	case "closeness":
 		cfg := closeness.DefaultConfig()
-		cfg.Partitioner = ef.SchedPartitioner()
-		cfg.Grain = ef.Grain
-		cfg.NumMultiWindows = ef.MW
-		cfg.Directed = ef.Directed
+		cfg.Config = ef.PerWindow()
 		cfg.SampleSources = 16
 		eng, err := closeness.NewEngine(l, spec, cfg, pool)
 		if err != nil {

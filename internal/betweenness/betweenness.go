@@ -13,26 +13,16 @@
 package betweenness
 
 import (
-	"fmt"
-	"math/rand"
-
 	"pmpr/internal/events"
+	"pmpr/internal/perwindow"
 	"pmpr/internal/sched"
 	"pmpr/internal/tcsr"
 )
 
-// Config controls a betweenness run.
+// Config controls a betweenness run. Paths always use the undirected
+// view, whatever Directed builds.
 type Config struct {
-	// NumMultiWindows partitions the window sequence (see tcsr.Build).
-	NumMultiWindows int
-	// BalancedPartition splits by event load instead of uniformly.
-	BalancedPartition bool
-	// Directed controls the representation build; paths always use the
-	// undirected view.
-	Directed bool
-	// Partitioner and Grain configure the window-level loop.
-	Partitioner sched.Partitioner
-	Grain       int
+	perwindow.Config
 	// SampleSources > 0 estimates from that many sampled sources per
 	// window; 0 computes exactly.
 	SampleSources int
@@ -44,9 +34,7 @@ type Config struct {
 
 // DefaultConfig matches the other engines' defaults, with exact
 // computation.
-func DefaultConfig() Config {
-	return Config{NumMultiWindows: 6, Partitioner: sched.Auto, Grain: 2}
-}
+func DefaultConfig() Config { return Config{Config: perwindow.DefaultConfig()} }
 
 // WindowResult summarizes one window.
 type WindowResult struct {
@@ -79,142 +67,54 @@ func (r *WindowResult) Score(global int32) float64 {
 }
 
 // Series is the per-window sequence.
-type Series struct {
-	Spec    events.WindowSpec
-	Results []WindowResult
-}
-
-// Window returns the result for window i.
-func (s *Series) Window(i int) *WindowResult { return &s.Results[i] }
-
-// Len returns the number of windows.
-func (s *Series) Len() int { return len(s.Results) }
+type Series = perwindow.Series[WindowResult]
 
 // Engine computes the series.
-type Engine struct {
-	tg   *tcsr.Temporal
-	cfg  Config
-	pool *sched.Pool
-}
+type Engine = perwindow.Engine[WindowResult]
 
 // NewEngine builds the temporal representation for l under spec.
 func NewEngine(l *events.Log, spec events.WindowSpec, cfg Config, pool *sched.Pool) (*Engine, error) {
-	if cfg.NumMultiWindows < 1 {
-		return nil, fmt.Errorf("betweenness: NumMultiWindows %d must be >= 1", cfg.NumMultiWindows)
-	}
-	if cfg.SampleSources < 0 {
-		return nil, fmt.Errorf("betweenness: SampleSources %d must be >= 0", cfg.SampleSources)
-	}
-	build := tcsr.Build
-	if cfg.BalancedPartition {
-		build = tcsr.BuildBalanced
-	}
-	tg, err := build(l, spec, cfg.NumMultiWindows, cfg.Directed)
-	if err != nil {
+	if err := perwindow.CheckSample("betweenness", cfg.SampleSources); err != nil {
 		return nil, err
 	}
-	return &Engine{tg: tg, cfg: cfg, pool: pool}, nil
+	return perwindow.New("betweenness", l, spec, cfg.Config, pool, cfg.solver)
 }
 
 // NewEngineFromTemporal reuses an existing representation.
 func NewEngineFromTemporal(tg *tcsr.Temporal, cfg Config, pool *sched.Pool) (*Engine, error) {
-	if tg == nil {
-		return nil, fmt.Errorf("betweenness: nil temporal representation")
+	if err := perwindow.CheckSample("betweenness", cfg.SampleSources); err != nil {
+		return nil, err
 	}
-	return &Engine{tg: tg, cfg: cfg, pool: pool}, nil
+	return perwindow.FromTemporal("betweenness", tg, cfg.Config, pool, cfg.solver)
 }
 
-// Temporal exposes the representation.
-func (e *Engine) Temporal() *tcsr.Temporal { return e.tg }
-
-// Run computes betweenness for every window; windows run in parallel on
-// the pool, serially with a nil pool.
-func (e *Engine) Run() (*Series, error) {
-	count := e.tg.Spec.Count
-	results := make([]WindowResult, count)
-	body := func(lo, hi int) {
-		var view tcsr.WindowView
-		var br brandes
-		for w := lo; w < hi; w++ {
-			results[w] = e.solveWindow(w, &view, &br)
+// solver returns one task's per-window betweenness function; it owns
+// the task's Brandes and source scratch.
+func (c Config) solver() perwindow.Solver[WindowResult] {
+	var br brandes
+	src := perwindow.Sampler{Sample: c.SampleSources, Seed: c.Seed, Mix: 0x5851F42D4C957F2}
+	return func(w int, mw *tcsr.MultiWindow, view *tcsr.WindowView) WindowResult {
+		sources, exact := src.Sources(w, view)
+		scores := make([]float64, len(view.Active))
+		for _, s := range sources {
+			br.accumulate(view, s, scores)
 		}
-	}
-	if e.pool == nil {
-		body(0, count)
-	} else {
-		grain := e.cfg.Grain
-		if grain < 1 {
-			grain = 1
-		}
-		e.pool.ParallelFor(count, grain, e.cfg.Partitioner, func(_ *sched.Worker, lo, hi int) {
-			body(lo, hi)
-		})
-	}
-	return &Series{Spec: e.tg.Spec, Results: results}, nil
-}
-
-func (e *Engine) solveWindow(w int, view *tcsr.WindowView, br *brandes) WindowResult {
-	mw := e.tg.ForWindow(w)
-	mw.Materialize(w, view)
-	n := int(mw.NumLocal())
-	res := WindowResult{Window: w, ActiveVertices: view.NumActive, Top: -1, mw: mw}
-	if view.NumActive == 0 {
-		if e.cfg.KeepScores {
-			res.scores = make([]float64, n)
-			for v := range res.scores {
-				res.scores[v] = -1
+		// Undirected convention: every pair is discovered from both
+		// endpoints in an exact run, so halve; sampled runs scale instead.
+		if exact {
+			for v := range scores {
+				scores[v] /= 2
+			}
+		} else {
+			scale := float64(view.NumActive) / float64(len(sources)) / 2
+			for v := range scores {
+				scores[v] *= scale
 			}
 		}
+		res := WindowResult{Window: w, ActiveVertices: view.NumActive, SampledSources: int32(len(sources)), mw: mw}
+		res.Top, res.TopScore, res.scores = perwindow.Finish(mw, view, scores, c.KeepScores)
 		return res
 	}
-	var sources []int32
-	actives := make([]int32, 0, view.NumActive)
-	for v := 0; v < n; v++ {
-		if view.Active[v] {
-			actives = append(actives, int32(v))
-		}
-	}
-	exact := e.cfg.SampleSources == 0 || e.cfg.SampleSources >= len(actives)
-	if exact {
-		sources = actives
-	} else {
-		rng := rand.New(rand.NewSource(e.cfg.Seed ^ int64(w)*0x5851F42D4C957F2))
-		rng.Shuffle(len(actives), func(i, j int) { actives[i], actives[j] = actives[j], actives[i] })
-		sources = actives[:e.cfg.SampleSources]
-	}
-	res.SampledSources = int32(len(sources))
-
-	scores := make([]float64, n)
-	for _, s := range sources {
-		br.accumulate(view, s, scores)
-	}
-	// Undirected convention: every pair is discovered from both
-	// endpoints in an exact run, so halve; sampled runs scale instead.
-	if exact {
-		for v := range scores {
-			scores[v] /= 2
-		}
-	} else {
-		scale := float64(len(actives)) / float64(len(sources)) / 2
-		for v := range scores {
-			scores[v] *= scale
-		}
-	}
-	for v := 0; v < n; v++ {
-		if view.Active[v] && scores[v] > res.TopScore {
-			res.TopScore = scores[v]
-			res.Top = mw.GlobalID(int32(v))
-		}
-	}
-	if e.cfg.KeepScores {
-		for v := 0; v < n; v++ {
-			if !view.Active[v] {
-				scores[v] = -1
-			}
-		}
-		res.scores = scores
-	}
-	return res
 }
 
 // brandes holds the reusable per-source state of Brandes' algorithm.
@@ -223,6 +123,7 @@ type brandes struct {
 	sigma []float64
 	delta []float64
 	stack []int32
+	queue []int32
 	preds [][]int32
 }
 
@@ -235,6 +136,7 @@ func (b *brandes) accumulate(view *tcsr.WindowView, s int32, acc []float64) {
 		b.sigma = make([]float64, n)
 		b.delta = make([]float64, n)
 		b.stack = make([]int32, 0, n)
+		b.queue = make([]int32, 0, n)
 		b.preds = make([][]int32, n)
 	}
 	b.dist = b.dist[:n]
@@ -251,9 +153,9 @@ func (b *brandes) accumulate(view *tcsr.WindowView, s int32, acc []float64) {
 
 	b.dist[s] = 0
 	b.sigma[s] = 1
-	queue := []int32{s}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
+	b.queue = append(b.queue[:0], s)
+	for head := 0; head < len(b.queue); head++ {
+		v := b.queue[head]
 		b.stack = append(b.stack, v)
 		for _, u := range view.Col[view.Row[v]:view.Row[v+1]] {
 			if u == v {
@@ -261,7 +163,7 @@ func (b *brandes) accumulate(view *tcsr.WindowView, s int32, acc []float64) {
 			}
 			if b.dist[u] < 0 {
 				b.dist[u] = b.dist[v] + 1
-				queue = append(queue, u)
+				b.queue = append(b.queue, u)
 			}
 			if b.dist[u] == b.dist[v]+1 {
 				b.sigma[u] += b.sigma[v]

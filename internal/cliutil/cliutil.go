@@ -14,6 +14,7 @@ import (
 
 	"pmpr/internal/core"
 	"pmpr/internal/events"
+	"pmpr/internal/perwindow"
 	"pmpr/internal/sched"
 )
 
@@ -78,6 +79,17 @@ func (ef *EngineFlags) ApplyTo(cfg *core.Config) {
 	cfg.Grain = ef.Grain
 	cfg.PartialInit = !ef.NoPartial
 	cfg.Directed = ef.Directed
+}
+
+// PerWindow returns the settings the per-window analyses (components,
+// k-core, closeness, betweenness) share, from the flag values.
+func (ef *EngineFlags) PerWindow() perwindow.Config {
+	cfg := perwindow.DefaultConfig()
+	cfg.Partitioner = ef.SchedPartitioner()
+	cfg.Grain = ef.Grain
+	cfg.NumMultiWindows = ef.MW
+	cfg.Directed = ef.Directed
+	return cfg
 }
 
 // ParseKernel maps a kernel flag value to its id (unknown values fall

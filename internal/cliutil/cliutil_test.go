@@ -8,6 +8,7 @@ import (
 
 	"pmpr/internal/core"
 	"pmpr/internal/events"
+	"pmpr/internal/perwindow"
 	"pmpr/internal/sched"
 )
 
@@ -55,6 +56,28 @@ func TestEngineFlagsApplyTo(t *testing.T) {
 	}
 	if ef.Workers != 2 {
 		t.Fatalf("workers = %d, want 2", ef.Workers)
+	}
+}
+
+// TestEngineFlagsPerWindow checks the shared per-window analysis
+// settings: defaults equal perwindow.DefaultConfig, and the partitioner,
+// grain, multi-window and direction flags land in their fields.
+func TestEngineFlagsPerWindow(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	ef := RegisterEngineFlags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ef.PerWindow(), perwindow.DefaultConfig(); got != want {
+		t.Fatalf("default flags: %+v, want %+v", got, want)
+	}
+	args := []string{"-partitioner", "static", "-mw", "3", "-grain", "7", "-directed"}
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	want := perwindow.Config{NumMultiWindows: 3, Directed: true, Partitioner: sched.Static, Grain: 7}
+	if got := ef.PerWindow(); got != want {
+		t.Fatalf("parsed flags: %+v, want %+v", got, want)
 	}
 }
 

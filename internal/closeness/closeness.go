@@ -17,26 +17,16 @@
 package closeness
 
 import (
-	"fmt"
-	"math/rand"
-
 	"pmpr/internal/events"
+	"pmpr/internal/perwindow"
 	"pmpr/internal/sched"
 	"pmpr/internal/tcsr"
 )
 
-// Config controls a closeness run.
+// Config controls a closeness run. Distances always use the undirected
+// view, whatever Directed builds.
 type Config struct {
-	// NumMultiWindows partitions the window sequence (see tcsr.Build).
-	NumMultiWindows int
-	// BalancedPartition splits by event load instead of uniformly.
-	BalancedPartition bool
-	// Directed controls the representation build; distances always use
-	// the undirected view.
-	Directed bool
-	// Partitioner and Grain configure the window-level loop.
-	Partitioner sched.Partitioner
-	Grain       int
+	perwindow.Config
 	// SampleSources > 0 approximates: per window, BFS only from that
 	// many sampled active sources. 0 computes exactly.
 	SampleSources int
@@ -48,9 +38,7 @@ type Config struct {
 
 // DefaultConfig matches the other engines' defaults, with exact
 // computation.
-func DefaultConfig() Config {
-	return Config{NumMultiWindows: 6, Partitioner: sched.Auto, Grain: 2}
-}
+func DefaultConfig() Config { return Config{Config: perwindow.DefaultConfig()} }
 
 // WindowResult summarizes one window.
 type WindowResult struct {
@@ -83,148 +71,55 @@ func (r *WindowResult) Score(global int32) float64 {
 }
 
 // Series is the per-window sequence.
-type Series struct {
-	Spec    events.WindowSpec
-	Results []WindowResult
-}
-
-// Window returns the result for window i.
-func (s *Series) Window(i int) *WindowResult { return &s.Results[i] }
-
-// Len returns the number of windows.
-func (s *Series) Len() int { return len(s.Results) }
+type Series = perwindow.Series[WindowResult]
 
 // Engine computes the series.
-type Engine struct {
-	tg   *tcsr.Temporal
-	cfg  Config
-	pool *sched.Pool
-}
+type Engine = perwindow.Engine[WindowResult]
 
 // NewEngine builds the temporal representation for l under spec.
 func NewEngine(l *events.Log, spec events.WindowSpec, cfg Config, pool *sched.Pool) (*Engine, error) {
-	if cfg.NumMultiWindows < 1 {
-		return nil, fmt.Errorf("closeness: NumMultiWindows %d must be >= 1", cfg.NumMultiWindows)
-	}
-	if cfg.SampleSources < 0 {
-		return nil, fmt.Errorf("closeness: SampleSources %d must be >= 0", cfg.SampleSources)
-	}
-	build := tcsr.Build
-	if cfg.BalancedPartition {
-		build = tcsr.BuildBalanced
-	}
-	tg, err := build(l, spec, cfg.NumMultiWindows, cfg.Directed)
-	if err != nil {
+	if err := perwindow.CheckSample("closeness", cfg.SampleSources); err != nil {
 		return nil, err
 	}
-	return &Engine{tg: tg, cfg: cfg, pool: pool}, nil
+	return perwindow.New("closeness", l, spec, cfg.Config, pool, cfg.solver)
 }
 
 // NewEngineFromTemporal reuses an existing representation.
 func NewEngineFromTemporal(tg *tcsr.Temporal, cfg Config, pool *sched.Pool) (*Engine, error) {
-	if tg == nil {
-		return nil, fmt.Errorf("closeness: nil temporal representation")
+	if err := perwindow.CheckSample("closeness", cfg.SampleSources); err != nil {
+		return nil, err
 	}
-	return &Engine{tg: tg, cfg: cfg, pool: pool}, nil
+	return perwindow.FromTemporal("closeness", tg, cfg.Config, pool, cfg.solver)
 }
 
-// Temporal exposes the representation.
-func (e *Engine) Temporal() *tcsr.Temporal { return e.tg }
-
-// Run computes closeness for every window; windows run in parallel on
-// the pool, serially with a nil pool.
-func (e *Engine) Run() (*Series, error) {
-	count := e.tg.Spec.Count
-	results := make([]WindowResult, count)
-	body := func(lo, hi int) {
-		var view tcsr.WindowView
-		var b bfs
-		for w := lo; w < hi; w++ {
-			results[w] = e.solveWindow(w, &view, &b)
+// solver returns one task's per-window closeness function; it owns the
+// task's BFS and source scratch.
+func (c Config) solver() perwindow.Solver[WindowResult] {
+	var b bfs
+	src := perwindow.Sampler{Sample: c.SampleSources, Seed: c.Seed, Mix: 0x9E3779B97F4A7C}
+	return func(w int, mw *tcsr.MultiWindow, view *tcsr.WindowView) WindowResult {
+		sources, exact := src.Sources(w, view)
+		scores := make([]float64, len(view.Active))
+		// Harmonic closeness accumulates reciprocal distances at the
+		// *visited* vertex: C(v) += 1/d(source, v) per BFS. With the
+		// undirected view this equals summing over targets from v.
+		for _, s := range sources {
+			b.run(view, s, func(v int32, dist int32) {
+				if dist > 0 {
+					scores[v] += 1 / float64(dist)
+				}
+			})
 		}
-	}
-	if e.pool == nil {
-		body(0, count)
-	} else {
-		grain := e.cfg.Grain
-		if grain < 1 {
-			grain = 1
-		}
-		e.pool.ParallelFor(count, grain, e.cfg.Partitioner, func(_ *sched.Worker, lo, hi int) {
-			body(lo, hi)
-		})
-	}
-	return &Series{Spec: e.tg.Spec, Results: results}, nil
-}
-
-func (e *Engine) solveWindow(w int, view *tcsr.WindowView, b *bfs) WindowResult {
-	mw := e.tg.ForWindow(w)
-	mw.Materialize(w, view)
-	n := int(mw.NumLocal())
-	res := WindowResult{Window: w, ActiveVertices: view.NumActive, Top: -1, mw: mw}
-	if view.NumActive == 0 {
-		if e.cfg.KeepScores {
-			res.scores = make([]float64, n)
-			for v := range res.scores {
-				res.scores[v] = -1
+		if !exact {
+			scale := float64(view.NumActive) / float64(len(sources))
+			for v := range scores {
+				scores[v] *= scale
 			}
 		}
+		res := WindowResult{Window: w, ActiveVertices: view.NumActive, SampledSources: int32(len(sources)), mw: mw}
+		res.Top, res.TopScore, res.scores = perwindow.Finish(mw, view, scores, c.KeepScores)
 		return res
 	}
-
-	// Pick the BFS sources.
-	var sources []int32
-	if e.cfg.SampleSources == 0 || int32(e.cfg.SampleSources) >= view.NumActive {
-		for v := 0; v < n; v++ {
-			if view.Active[v] {
-				sources = append(sources, int32(v))
-			}
-		}
-	} else {
-		actives := make([]int32, 0, view.NumActive)
-		for v := 0; v < n; v++ {
-			if view.Active[v] {
-				actives = append(actives, int32(v))
-			}
-		}
-		rng := rand.New(rand.NewSource(e.cfg.Seed ^ int64(w)*0x9E3779B97F4A7C))
-		rng.Shuffle(len(actives), func(i, j int) { actives[i], actives[j] = actives[j], actives[i] })
-		sources = actives[:e.cfg.SampleSources]
-	}
-	res.SampledSources = int32(len(sources))
-
-	// Harmonic closeness accumulates reciprocal distances at the
-	// *visited* vertex: C(v) += 1/d(source, v) per BFS. With the
-	// undirected view this equals summing over targets from v.
-	scores := make([]float64, n)
-	for _, s := range sources {
-		b.run(view, s, func(v int32, dist int32) {
-			if dist > 0 {
-				scores[v] += 1 / float64(dist)
-			}
-		})
-	}
-	if res.SampledSources < view.NumActive {
-		scale := float64(view.NumActive) / float64(len(sources))
-		for v := range scores {
-			scores[v] *= scale
-		}
-	}
-	for v := 0; v < n; v++ {
-		if view.Active[v] && scores[v] > res.TopScore {
-			res.TopScore = scores[v]
-			res.Top = mw.GlobalID(int32(v))
-		}
-	}
-	if e.cfg.KeepScores {
-		for v := 0; v < n; v++ {
-			if !view.Active[v] {
-				scores[v] = -1
-			}
-		}
-		res.scores = scores
-	}
-	return res
 }
 
 // bfs is a reusable breadth-first search over a window view.

@@ -3,6 +3,7 @@ package closeness
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"pmpr/internal/events"
@@ -246,6 +247,37 @@ func TestClosenessValidation(t *testing.T) {
 	}
 	if _, err := NewEngineFromTemporal(nil, DefaultConfig(), nil); err == nil {
 		t.Fatal("nil temporal accepted")
+	}
+	// A sample larger than any window computes exactly; on 64-bit,
+	// 1<<32+1 must not wrap to a one-source sample.
+	if strconv.IntSize < 64 {
+		return
+	}
+	run := func(sample int) *Series {
+		cfg := DefaultConfig()
+		cfg.SampleSources = sample
+		cfg.KeepScores = true
+		eng, err := NewEngine(l, spec, cfg, nil)
+		if err != nil {
+			t.Fatalf("NewEngine(SampleSources=%d): %v", sample, err)
+		}
+		s, err := eng.Run()
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return s
+	}
+	exact, huge := run(0), run(int(int64(1)<<32+1))
+	for w := 0; w < exact.Len(); w++ {
+		e, h := exact.Window(w), huge.Window(w)
+		if h.SampledSources != h.ActiveVertices || h.Top != e.Top || h.TopScore != e.TopScore {
+			t.Fatalf("window %d: SampleSources 1<<32+1 gave %+v, exact %+v", w, h, e)
+		}
+		for v := int32(0); v < l.NumVertices(); v++ {
+			if h.Score(v) != e.Score(v) {
+				t.Fatalf("window %d vertex %d: score %v, exact %v", w, v, h.Score(v), e.Score(v))
+			}
+		}
 	}
 }
 

@@ -10,33 +10,22 @@
 package kcore
 
 import (
-	"fmt"
-
 	"pmpr/internal/events"
+	"pmpr/internal/perwindow"
 	"pmpr/internal/sched"
 	"pmpr/internal/tcsr"
 )
 
-// Config controls a k-core run.
+// Config controls a k-core run. Coreness always uses the undirected
+// view, whatever Directed builds.
 type Config struct {
-	// NumMultiWindows partitions the window sequence (see tcsr.Build).
-	NumMultiWindows int
-	// BalancedPartition splits by event load instead of uniformly.
-	BalancedPartition bool
-	// Directed controls the representation build; coreness always uses
-	// the undirected view.
-	Directed bool
-	// Partitioner and Grain configure the window-level loop.
-	Partitioner sched.Partitioner
-	Grain       int
+	perwindow.Config
 	// KeepCoreness retains each window's full coreness vector.
 	KeepCoreness bool
 }
 
 // DefaultConfig mirrors the PageRank engine's defaults.
-func DefaultConfig() Config {
-	return Config{NumMultiWindows: 6, Partitioner: sched.Auto, Grain: 2}
-}
+func DefaultConfig() Config { return Config{Config: perwindow.DefaultConfig()} }
 
 // WindowResult summarizes one window's core structure.
 type WindowResult struct {
@@ -65,102 +54,49 @@ func (r *WindowResult) Coreness(global int32) int32 {
 }
 
 // Series is the per-window core summary sequence.
-type Series struct {
-	Spec    events.WindowSpec
-	Results []WindowResult
-}
-
-// Window returns the result for window i.
-func (s *Series) Window(i int) *WindowResult { return &s.Results[i] }
-
-// Len returns the number of windows.
-func (s *Series) Len() int { return len(s.Results) }
+type Series = perwindow.Series[WindowResult]
 
 // Engine computes the series.
-type Engine struct {
-	tg   *tcsr.Temporal
-	cfg  Config
-	pool *sched.Pool
-}
+type Engine = perwindow.Engine[WindowResult]
 
 // NewEngine builds the temporal representation for l under spec.
 func NewEngine(l *events.Log, spec events.WindowSpec, cfg Config, pool *sched.Pool) (*Engine, error) {
-	if cfg.NumMultiWindows < 1 {
-		return nil, fmt.Errorf("kcore: NumMultiWindows %d must be >= 1", cfg.NumMultiWindows)
-	}
-	build := tcsr.Build
-	if cfg.BalancedPartition {
-		build = tcsr.BuildBalanced
-	}
-	tg, err := build(l, spec, cfg.NumMultiWindows, cfg.Directed)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{tg: tg, cfg: cfg, pool: pool}, nil
+	return perwindow.New("kcore", l, spec, cfg.Config, pool, cfg.solver)
 }
 
 // NewEngineFromTemporal reuses an existing representation.
 func NewEngineFromTemporal(tg *tcsr.Temporal, cfg Config, pool *sched.Pool) (*Engine, error) {
-	if tg == nil {
-		return nil, fmt.Errorf("kcore: nil temporal representation")
-	}
-	return &Engine{tg: tg, cfg: cfg, pool: pool}, nil
+	return perwindow.FromTemporal("kcore", tg, cfg.Config, pool, cfg.solver)
 }
 
-// Temporal exposes the representation.
-func (e *Engine) Temporal() *tcsr.Temporal { return e.tg }
-
-// Run computes the decomposition for every window; windows run in
-// parallel on the pool, serially with a nil pool.
-func (e *Engine) Run() (*Series, error) {
-	count := e.tg.Spec.Count
-	results := make([]WindowResult, count)
-	body := func(lo, hi int) {
-		var view tcsr.WindowView
-		var p peeler
-		for w := lo; w < hi; w++ {
-			results[w] = e.solveWindow(w, &view, &p)
+// solver returns one task's per-window k-core function; it owns the
+// task's peeler.
+func (c Config) solver() perwindow.Solver[WindowResult] {
+	var p peeler
+	return func(w int, mw *tcsr.MultiWindow, view *tcsr.WindowView) WindowResult {
+		res := WindowResult{Window: w, ActiveVertices: view.NumActive, mw: mw}
+		core := p.run(view)
+		var maxCore, maxSize int32
+		for v := range core {
+			if !view.Active[v] {
+				continue
+			}
+			switch {
+			case core[v] > maxCore:
+				maxCore = core[v]
+				maxSize = 1
+			case core[v] == maxCore:
+				maxSize++
+			}
 		}
-	}
-	if e.pool == nil {
-		body(0, count)
-	} else {
-		grain := e.cfg.Grain
-		if grain < 1 {
-			grain = 1
+		res.MaxCore = maxCore
+		res.MaxCoreSize = maxSize
+		if c.KeepCoreness {
+			res.coreness = make([]int32, len(core))
+			copy(res.coreness, core)
 		}
-		e.pool.ParallelFor(count, grain, e.cfg.Partitioner, func(_ *sched.Worker, lo, hi int) {
-			body(lo, hi)
-		})
+		return res
 	}
-	return &Series{Spec: e.tg.Spec, Results: results}, nil
-}
-
-func (e *Engine) solveWindow(w int, view *tcsr.WindowView, p *peeler) WindowResult {
-	mw := e.tg.ForWindow(w)
-	mw.Materialize(w, view)
-	res := WindowResult{Window: w, ActiveVertices: view.NumActive, mw: mw}
-	core := p.run(view)
-	var maxCore, maxSize int32
-	for v := range core {
-		if !view.Active[v] {
-			continue
-		}
-		switch {
-		case core[v] > maxCore:
-			maxCore = core[v]
-			maxSize = 1
-		case core[v] == maxCore:
-			maxSize++
-		}
-	}
-	res.MaxCore = maxCore
-	res.MaxCoreSize = maxSize
-	if e.cfg.KeepCoreness {
-		res.coreness = make([]int32, len(core))
-		copy(res.coreness, core)
-	}
-	return res
 }
 
 // peeler implements Batagelj–Zaveršnik peeling with reusable buffers.

@@ -176,7 +176,7 @@ var allocFuncs = map[string]bool{
 	"fmt.Sprintf": true, "fmt.Sprint": true, "fmt.Sprintln": true,
 	"fmt.Errorf": true, "fmt.Fprintf": true, "fmt.Fprintln": true,
 	"fmt.Printf": true, "fmt.Println": true, "fmt.Print": true,
-	"errors.New": true,
+	"errors.New":   true,
 	"strings.Join": true, "strings.Repeat": true, "strings.Split": true,
 	"strings.Fields": true, "strings.Replace": true, "strings.ReplaceAll": true,
 	"strings.ToLower": true, "strings.ToUpper": true,
@@ -184,7 +184,7 @@ var allocFuncs = map[string]bool{
 	"strconv.Quote": true, "strconv.AppendQuote": true,
 	"sort.Slice": true, "sort.SliceStable": true, // closure boxing + reflect
 	"sync.Pool.Get": true, // may call New
-	"log.Printf": true, "log.Println": true, "log.Print": true, "log.Fatalf": true,
+	"log.Printf":    true, "log.Println": true, "log.Print": true, "log.Fatalf": true,
 }
 
 // blockSyscallPkgs are packages whose calls count as BlockSyscall.

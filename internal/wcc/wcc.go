@@ -10,34 +10,23 @@
 package wcc
 
 import (
-	"fmt"
-
 	"pmpr/internal/events"
+	"pmpr/internal/perwindow"
 	"pmpr/internal/sched"
 	"pmpr/internal/tcsr"
 )
 
-// Config controls a components run.
+// Config controls a components run. Components always treat edges as
+// undirected, whatever Directed builds.
 type Config struct {
-	// NumMultiWindows partitions the window sequence (see tcsr.Build).
-	NumMultiWindows int
-	// BalancedPartition splits by event load instead of uniformly.
-	BalancedPartition bool
-	// Directed controls the representation build; components always
-	// treat edges as undirected.
-	Directed bool
-	// Partitioner and Grain configure the window-level loop.
-	Partitioner sched.Partitioner
-	Grain       int
+	perwindow.Config
 	// KeepLabels retains each window's component labeling (otherwise
 	// only summary statistics are kept).
 	KeepLabels bool
 }
 
 // DefaultConfig mirrors the PageRank engine's defaults.
-func DefaultConfig() Config {
-	return Config{NumMultiWindows: 6, Partitioner: sched.Auto, Grain: 2}
-}
+func DefaultConfig() Config { return Config{Config: perwindow.DefaultConfig()} }
 
 // WindowResult summarizes one window's component structure.
 type WindowResult struct {
@@ -78,117 +67,63 @@ func (r *WindowResult) SameComponent(a, b int32) bool {
 }
 
 // Series is the per-window component summary sequence.
-type Series struct {
-	Spec    events.WindowSpec
-	Results []WindowResult
-}
-
-// Window returns the result for window i.
-func (s *Series) Window(i int) *WindowResult { return &s.Results[i] }
-
-// Len returns the number of windows.
-func (s *Series) Len() int { return len(s.Results) }
+type Series = perwindow.Series[WindowResult]
 
 // Engine computes the series.
-type Engine struct {
-	tg   *tcsr.Temporal
-	cfg  Config
-	pool *sched.Pool
-}
+type Engine = perwindow.Engine[WindowResult]
 
 // NewEngine builds the temporal representation for l under spec.
 func NewEngine(l *events.Log, spec events.WindowSpec, cfg Config, pool *sched.Pool) (*Engine, error) {
-	if cfg.NumMultiWindows < 1 {
-		return nil, fmt.Errorf("wcc: NumMultiWindows %d must be >= 1", cfg.NumMultiWindows)
-	}
-	build := tcsr.Build
-	if cfg.BalancedPartition {
-		build = tcsr.BuildBalanced
-	}
-	tg, err := build(l, spec, cfg.NumMultiWindows, cfg.Directed)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{tg: tg, cfg: cfg, pool: pool}, nil
+	return perwindow.New("wcc", l, spec, cfg.Config, pool, cfg.solver)
 }
 
 // NewEngineFromTemporal reuses an existing representation.
 func NewEngineFromTemporal(tg *tcsr.Temporal, cfg Config, pool *sched.Pool) (*Engine, error) {
-	if tg == nil {
-		return nil, fmt.Errorf("wcc: nil temporal representation")
-	}
-	return &Engine{tg: tg, cfg: cfg, pool: pool}, nil
+	return perwindow.FromTemporal("wcc", tg, cfg.Config, pool, cfg.solver)
 }
 
-// Temporal exposes the representation.
-func (e *Engine) Temporal() *tcsr.Temporal { return e.tg }
-
-// Run computes components for every window. Windows run in parallel on
-// the pool (the kernel itself is sequential, as in the offline model);
-// a nil pool runs serially.
-func (e *Engine) Run() (*Series, error) {
-	count := e.tg.Spec.Count
-	results := make([]WindowResult, count)
-	body := func(lo, hi int) {
-		var view tcsr.WindowView
-		var uf unionFind
-		for w := lo; w < hi; w++ {
-			results[w] = e.solveWindow(w, &view, &uf)
-		}
-	}
-	if e.pool == nil {
-		body(0, count)
-	} else {
-		grain := e.cfg.Grain
-		if grain < 1 {
-			grain = 1
-		}
-		e.pool.ParallelFor(count, grain, e.cfg.Partitioner, func(_ *sched.Worker, lo, hi int) {
-			body(lo, hi)
-		})
-	}
-	return &Series{Spec: e.tg.Spec, Results: results}, nil
-}
-
-func (e *Engine) solveWindow(w int, view *tcsr.WindowView, uf *unionFind) WindowResult {
-	mw := e.tg.ForWindow(w)
-	mw.Materialize(w, view)
-	n := int(mw.NumLocal())
-	res := WindowResult{Window: w, ActiveVertices: view.NumActive, mw: mw}
-	uf.reset(n)
-	for v := 0; v < n; v++ {
-		for _, u := range view.Col[view.Row[v]:view.Row[v+1]] {
-			uf.union(int32(v), u)
-		}
-	}
-	// Count components and track the largest, over active vertices.
-	var comps, largest int32
-	for v := 0; v < n; v++ {
-		if !view.Active[v] {
-			continue
-		}
-		r := uf.find(int32(v))
-		if int(r) == v {
-			comps++
-		}
-		if uf.size[r] > largest {
-			largest = uf.size[r]
-		}
-	}
-	res.Components = comps
-	res.LargestSize = largest
-	if e.cfg.KeepLabels {
-		labels := make([]int32, n)
+// solver returns one task's per-window components function; it owns
+// the task's union-find.
+func (c Config) solver() perwindow.Solver[WindowResult] {
+	var uf unionFind
+	return func(w int, mw *tcsr.MultiWindow, view *tcsr.WindowView) WindowResult {
+		n := len(view.Active)
+		res := WindowResult{Window: w, ActiveVertices: view.NumActive, mw: mw}
+		uf.reset(n)
 		for v := 0; v < n; v++ {
-			if view.Active[v] {
-				labels[v] = uf.find(int32(v))
-			} else {
-				labels[v] = -1
+			for _, u := range view.Col[view.Row[v]:view.Row[v+1]] {
+				uf.union(int32(v), u)
 			}
 		}
-		res.labels = labels
+		// Count components and track the largest, over active vertices.
+		var comps, largest int32
+		for v := 0; v < n; v++ {
+			if !view.Active[v] {
+				continue
+			}
+			r := uf.find(int32(v))
+			if int(r) == v {
+				comps++
+			}
+			if uf.size[r] > largest {
+				largest = uf.size[r]
+			}
+		}
+		res.Components = comps
+		res.LargestSize = largest
+		if c.KeepLabels {
+			labels := make([]int32, n)
+			for v := 0; v < n; v++ {
+				if view.Active[v] {
+					labels[v] = uf.find(int32(v))
+				} else {
+					labels[v] = -1
+				}
+			}
+			res.labels = labels
+		}
+		return res
 	}
-	return res
 }
 
 // unionFind is a reusable union-find with path halving and union by
